@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   wc.seed = 2004;
   auto trace = workload::GenerateTrace(wc);
 
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   sim::Network network(&simulator,
                        std::make_unique<sim::ConstantLatency>(
                            20 * sim::kMillisecond),
@@ -64,7 +64,10 @@ int main(int argc, char** argv) {
                              metrics.probe_messages;
       sim::SimTime start = simulator.now();
       bool ok = false;
-      engine.Search(q.text, so, [&](Status s, auto) { ok = s.ok(); });
+      engine.Search(q.text, so,
+                    [&](Status s, auto, const pier::Completeness&) {
+                      ok = s.ok();
+                    });
       simulator.Run();
       if (!ok) continue;
       shipped->Add(double(metrics.posting_entries_shipped - ship_before));

@@ -24,7 +24,7 @@ struct OverlayStats {
 };
 
 OverlayStats Measure(dht::OverlayKind kind, size_t n) {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   sim::Network network(&simulator,
                        std::make_unique<sim::ConstantLatency>(
                            25 * sim::kMillisecond),

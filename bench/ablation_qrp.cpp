@@ -38,7 +38,7 @@ ModeResult RunModeFresh(gnutella::LeafPublishMode mode, double scale) {
   wc.seed = 2004;
   auto trace = workload::GenerateTrace(wc);
 
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   sim::Network network(&simulator,
                        std::make_unique<sim::ConstantLatency>(
                            20 * sim::kMillisecond),

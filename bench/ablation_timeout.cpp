@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     wc.seed = 2004;
     auto trace = workload::GenerateTrace(wc);
 
-    sim::Simulator simulator;
+    sim::SerialExecutor simulator;
     sim::Network network(&simulator,
                          std::make_unique<sim::UniformLatency>(
                              15 * sim::kMillisecond, 150 * sim::kMillisecond),

@@ -163,16 +163,18 @@ std::vector<LatencyObservation> RunLatencyReplay(ReplaySetup* setup,
     size_t leaf_idx = static_cast<size_t>(
         rng.NextBelow(setup->gnutella->num_leaves()));
     const std::string& text = setup->trace.queries[q].text;
-    setup->simulator.ScheduleAt(at, [setup, states, q, leaf_idx, text]() {
-      auto* leaf = setup->gnutella->leaf(leaf_idx);
-      (*states)[q].started = setup->simulator.now();
-      leaf->StartQuery(
-          text, [setup, states, q](const std::vector<gnutella::QueryResult>& rs) {
-            QueryState& st = (*states)[q];
-            if (st.results == 0) st.first = setup->simulator.now();
-            st.results += rs.size();
-          });
-    });
+    setup->simulator.ScheduleAt(
+        sim::kDriverHost, at, [setup, states, q, leaf_idx, text]() {
+          auto* leaf = setup->gnutella->leaf(leaf_idx);
+          (*states)[q].started = setup->simulator.now();
+          leaf->StartQuery(
+              text,
+              [setup, states, q](const std::vector<gnutella::QueryResult>& rs) {
+                QueryState& st = (*states)[q];
+                if (st.results == 0) st.first = setup->simulator.now();
+                st.results += rs.size();
+              });
+        });
   }
   setup->simulator.Run();
 

@@ -17,7 +17,7 @@ namespace pierstack::bench {
 
 /// One simulated measurement deployment.
 struct ReplaySetup {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<gnutella::GnutellaNetwork> gnutella;
   workload::Trace trace;

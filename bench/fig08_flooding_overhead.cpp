@@ -19,7 +19,7 @@ using namespace pierstack::bench;
 int main(int argc, char** argv) {
   double scale = ParseScaleArg(argc, argv);
   size_t num_ups = static_cast<size_t>(20000 * scale);
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   sim::Network network(&simulator,
                        std::make_unique<sim::UniformLatency>(
                            10 * sim::kMillisecond, 100 * sim::kMillisecond),

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   wc.popular_query_min_terms = 2;
   auto trace = workload::GenerateTrace(wc);
 
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   sim::Network network(&simulator,
                        std::make_unique<sim::ConstantLatency>(
                            20 * sim::kMillisecond),
@@ -82,7 +82,9 @@ int main(int argc, char** argv) {
     so.max_results = SIZE_MAX;
     uint64_t before = metrics.posting_entries_shipped;
     bool ok = false;
-    engine.Search(q.text, so, [&](Status s, auto) { ok = s.ok(); });
+    engine.Search(q.text, so, [&](Status s, auto, const pier::Completeness&) {
+      ok = s.ok();
+    });
     simulator.Run();
     if (!ok) continue;
     double shipped = double(metrics.posting_entries_shipped - before);

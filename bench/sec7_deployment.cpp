@@ -51,7 +51,7 @@ RunResult RunDeployment(bool inverted_cache, double scale) {
   wc.seed = 2004;
   auto trace = workload::GenerateTrace(wc);
 
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   sim::Network network(&simulator,
                        std::make_unique<sim::UniformLatency>(
                            15 * sim::kMillisecond, 150 * sim::kMillisecond),
@@ -134,10 +134,11 @@ RunResult RunDeployment(bool inverted_cache, double scale) {
   Rng warm_rng(99);
   for (size_t q = 0; q < warm; ++q) {
     size_t leaf = static_cast<size_t>(warm_rng.NextBelow(tc.num_leaves));
-    simulator.ScheduleAfter(q * sim::kSecond, [&, q, leaf]() {
-      gnet.leaf(leaf)->StartQuery(trace.queries[q].text,
-                                  [](const auto&) {});
-    });
+    simulator.ScheduleAfter(sim::kDriverHost, q * sim::kSecond,
+                            [&, q, leaf]() {
+                              gnet.leaf(leaf)->StartQuery(
+                                  trace.queries[q].text, [](const auto&) {});
+                            });
   }
   simulator.Run();
   for (auto& h : hybrids) out.rare_published += h->stats().rare_results_published;

@@ -16,7 +16,7 @@
 using namespace pierstack;
 
 int main() {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   sim::Network network(&simulator,
                        std::make_unique<sim::UniformLatency>(
                            10 * sim::kMillisecond, 120 * sim::kMillisecond),

@@ -13,7 +13,7 @@
 using namespace pierstack;
 
 int main() {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   sim::Network network(&simulator,
                        std::make_unique<sim::ConstantLatency>(
                            25 * sim::kMillisecond),

@@ -22,7 +22,7 @@
 using namespace pierstack;
 
 int main() {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   sim::Network network(&simulator,
                        std::make_unique<sim::ConstantLatency>(
                            10 * sim::kMillisecond),
@@ -74,7 +74,8 @@ int main() {
 
   size_t ic_hits = 0;
   piers[3]->ExecutePlan(decoded.value(),
-                        [&](Status s, std::vector<pier::Tuple> rows) {
+                        [&](Status s, std::vector<pier::Tuple> rows,
+                            const pier::Completeness&) {
                           if (s.ok()) ic_hits = rows.size();
                         });
   simulator.Run();
@@ -100,7 +101,8 @@ int main() {
   std::printf("== filter-pushdown + TopK plan ==\n%s\n",
               topk.ToString().c_str());
   std::vector<pier::Tuple> top;
-  piers[5]->ExecutePlan(topk, [&](Status s, std::vector<pier::Tuple> rows) {
+  piers[5]->ExecutePlan(topk, [&](Status s, std::vector<pier::Tuple> rows,
+                                  const pier::Completeness&) {
     if (s.ok()) top = std::move(rows);
   });
   simulator.Run();

@@ -14,7 +14,7 @@ using namespace pierstack;
 
 int main() {
   // 1. A simulated wide-area network and a 64-node Chord overlay.
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   sim::Network network(&simulator,
                        std::make_unique<sim::CoordinateLatency>(
                            sim::CoordinateLatency::Options{}, /*seed=*/7),
@@ -60,7 +60,8 @@ int main() {
             : "inverted-cache";
     engine.Search(query, options,
                   [&, query, label](Status s,
-                                    std::vector<piersearch::SearchHit> hits) {
+                                    std::vector<piersearch::SearchHit> hits,
+                                    const pier::Completeness&) {
                     std::printf("\n[%s] \"%s\" -> %zu hit(s) (%s)\n", label,
                                 query, hits.size(), s.ToString().c_str());
                     for (const auto& h : hits) {

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "dht/id.h"
-#include "sim/simulator.h"
+#include "sim/executor.h"
 
 namespace pierstack::dht {
 

@@ -302,8 +302,8 @@ void DhtNode::ForwardOrDeliver(RouteMsg msg) {
   // replication lag, so the request continues to the owner for the
   // authoritative (possibly empty) answer.
   if ((msg.app_type == kAppGet || msg.app_type == kAppGetBatch) &&
-      options_.replication > 1 && options_.replica_aware_reads &&
-      joined_ && !routing_->IsOwner(msg.target)) {
+      options_.replication > 1 && joined_ &&
+      !routing_->IsOwner(msg.target)) {
     const auto& get = msg.body<GetBody>();
     if (store_.Has(get.ns, get.key, network_->executor()->now())) {
       ++metrics_->replica_peels;
@@ -933,9 +933,7 @@ void DhtNode::HandleGetMultiUpcall(const RouteMsg& msg) {
 bool DhtNode::ForwardMultiGetViaReplica(const RouteMsg& msg,
                                         const std::string& ns,
                                         const std::vector<Key>& rest) {
-  if (options_.replication <= 1 || !options_.replica_aware_multiget) {
-    return false;
-  }
+  if (options_.replication <= 1) return false;
   ChordRouting* c = chord();
   if (c == nullptr) return false;
   // Every key in (self, succ_j] for j <= replication is owned by one of

@@ -157,20 +157,16 @@ struct DhtMetrics {
 /// Tunables for a DHT deployment.
 struct DhtOptions {
   OverlayKind overlay = OverlayKind::kChord;
-  size_t replication = 1;  ///< Copies per key (1 = owner only).
-  /// With replication > 1, let the MultiGet scatter peel keys at replica
-  /// holders: each visited node hands the remainder one hop to the farthest
+  /// Copies per key (1 = owner only). With replication > 1, reads are
+  /// replica-aware: the MultiGet scatter peels keys at replica holders —
+  /// each visited node hands the remainder one hop to the farthest
   /// successor still inside every remaining arc key's replica set, which
-  /// answers up to `replication` owners' key ranges at once. Off = always
-  /// walk the primary owner chain (the K-owner baseline).
-  bool replica_aware_multiget = true;
-  /// With replication > 1, single-key Get/GetBatch requests stop at the
-  /// first replica met on the routing path: an intermediate hop that holds
-  /// data under (ns, key) answers in the owner's stead (the same
-  /// Has-gated peel rule as the MultiGet arc answer — a hop with an EMPTY
-  /// store never short-circuits, so replication lag still resolves at the
-  /// owner authoritatively). Off = always route to the primary owner.
-  bool replica_aware_reads = true;
+  /// answers up to `replication` owners' key ranges at once — and
+  /// single-key Get/GetBatch requests stop at the first replica met on the
+  /// routing path that holds data under (ns, key). Both peels are
+  /// Has-gated: a hop with an EMPTY store never short-circuits, so
+  /// replication lag still resolves at the owner authoritatively.
+  size_t replication = 1;
   /// Next-hop policy (dht/routing.h): kCongestionAware scores ring-progress
   /// candidates by remaining distance plus destination pressure and routes
   /// around backed-up hops; kClassicChord is the legacy distance-only path

@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "common/stats.h"
+#include "sim/executor.h"
 #include "sim/network.h"
-#include "sim/simulator.h"
 
 namespace pierstack::gnutella {
 

@@ -3,19 +3,19 @@
 // PIER's answers are best-effort over a "dilated-reachable snapshot"
 // (paper Section 4.1): a crash, straggler, or shed plan mid-query yields a
 // PARTIAL answer, and the only honest contract is to label it. Every
-// query-plane callback (JoinCallback / PlanCallback / FetchCallback /
-// SearchCallback) therefore carries a Completeness record alongside the
-// status and rows: `exact` says whether the answer set is provably the
-// full one, `coverage_fraction` estimates how much of the key arcs
-// actually reported, and the counters say why coverage was lost. Partial
-// is an explicit outcome, never a silent one — PierMetrics counts every
+// query-plane callback (PlanCallback / FetchCallback / SearchCallback)
+// therefore carries a Completeness record alongside the status and rows:
+// `exact` says whether the answer set is provably the full one,
+// `coverage_fraction` estimates how much of the key arcs actually
+// reported, and the counters say why coverage was lost. Partial is an
+// explicit outcome, never a silent one — PierMetrics counts every
 // non-exact top-level result in `partial_results`.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 
-#include "sim/simulator.h"
+#include "sim/executor.h"
 
 namespace pierstack::pier {
 

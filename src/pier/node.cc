@@ -215,7 +215,6 @@ PierNode::QueueMap::iterator PierNode::FlushAndErase(QueueMap::iterator it) {
 }
 
 size_t PierNode::FlushThresholdTuples(dht::Key key) const {
-  if (!batch_options_.adaptive_flush) return batch_options_.max_batch_tuples;
   // Probe the pressure toward the queue's destination (the next routing
   // hop — the cached owner itself once the location cache is warm — is
   // the congestion a flushed PutBatch meets first). An idle path
@@ -555,40 +554,8 @@ void PierNode::ProbePostingSize(const std::string& ns, const Value& key,
               ns.size() + key.WireSize() + 8, qid);
 }
 
-void PierNode::ExecuteJoin(DistributedJoin join, JoinCallback callback,
-                           sim::SimTime timeout) {
-  assert(!join.stages.empty());
-  // Thin adapter: lower the legacy join description into the plan engine's
-  // staged form — substring filters become serializable Expr trees with
-  // identical match semantics (Contains is the FilenameMatchesQuery rule).
-  auto staged = std::make_shared<StagedQuery>();
-  staged->limit = join.limit;
-  staged->cap_results = true;
-  staged->stages.reserve(join.stages.size());
-  for (JoinStage& s : join.stages) {
-    ExecStage e;
-    e.ns = std::move(s.ns);
-    e.key = std::move(s.key);
-    e.key_col = s.key_col;
-    e.join_col = s.join_col;
-    e.payload_cols = std::move(s.payload_cols);
-    if (!s.substring_filter.empty()) {
-      std::vector<Expr> terms;
-      terms.reserve(s.substring_filter.size());
-      for (std::string& f : s.substring_filter) {
-        terms.push_back(
-            Expr::Contains(Expr::Column(s.filter_col), std::move(f)));
-      }
-      e.filter = Expr::And(std::move(terms));
-    }
-    staged->stages.push_back(std::move(e));
-  }
-  ExecuteStaged(std::move(staged), std::move(callback), timeout);
-}
-
 void PierNode::ExecuteStaged(std::shared_ptr<const StagedQuery> query,
-                             JoinCallback callback, sim::SimTime timeout,
-                             bool top_level) {
+                             JoinCallback callback, sim::SimTime timeout) {
   assert(!query->stages.empty());
   ++metrics_->joins_executed;
   uint64_t qid = NextQid();
@@ -597,7 +564,6 @@ void PierNode::ExecuteStaged(std::shared_ptr<const StagedQuery> query,
   pending.callback = std::move(callback);
   pending.limit = query->cap_results ? query->limit : SIZE_MAX;
   pending.query = std::move(query);
-  pending.top_level = top_level;
   pending.deadline = exec->now() + timeout;
   pending.failovers_left = batch_options_.stage_failover_budget;
   pending.defers_left = batch_options_.admission_defer_budget;
@@ -718,7 +684,6 @@ void PierNode::ResolveJoin(uint64_t qid, Status s) {
     // weight means at least one stage's answers never came back.
     if (!c.shed) c.stages_failed += 1;
   }
-  if (!c.exact && pending.top_level) ++metrics_->partial_results;
   JoinCallback cb = std::move(pending.callback);
   std::vector<JoinResultEntry> results = std::move(pending.entries);
   pending_joins_.erase(it);
@@ -726,7 +691,6 @@ void PierNode::ResolveJoin(uint64_t qid, Status s) {
 }
 
 bool PierNode::AdmitStage0(const JoinStageMsg& m) {
-  if (!batch_options_.admission_control) return true;
   sim::DestinationLoad load = dht_->network()->LoadOf(dht_->host());
   if (load.in_flight_messages <= batch_options_.admission_inflight_floor) {
     return true;  // an idle node admits everything, whatever the list size
@@ -900,7 +864,7 @@ void PierNode::ForwardToStage(const JoinStageMsg& prev,
 
 size_t PierNode::CreditWindowChunks(dht::Key target) {
   size_t base = batch_options_.stage_credit_chunks;
-  if (base == 0 || !batch_options_.adaptive_credit) return base;
+  if (base == 0) return base;
   // Observed service rate of the path toward the consuming stage owner
   // (the next routing hop, same probe the adaptive flush drives on). No
   // measurement yet means no trust: stay at the constant floor. Every

@@ -25,7 +25,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -104,16 +103,14 @@ struct PierMetrics {
 ///
 /// A standing destination queue ships as one PutBatch message when it
 /// reaches a size bound, or when `flush_interval` elapses since its first
-/// pending tuple. With `adaptive_flush` on (the default) the tuple bound is
-/// load-adaptive: the sender probes the pressure toward the destination
-/// (sim::Network's per-destination in-flight signals via the next routing
-/// hop — with a warm owner location cache the next hop IS the owner, so
-/// the probe reads the actual destination) and flushes at
-/// `min_batch_tuples` when the path is idle — latency —
-/// doubling its patience with every in-flight message until the fixed
-/// `max_batch_tuples` / `max_batch_bytes` ceilings — throughput under load.
-/// The old constants are thus the ceiling of the adaptive range and the
-/// exact policy when `adaptive_flush` is off.
+/// pending tuple. The tuple bound is load-adaptive: the sender probes the
+/// pressure toward the destination (sim::Network's per-destination
+/// in-flight signals via the next routing hop — with a warm owner location
+/// cache the next hop IS the owner, so the probe reads the actual
+/// destination) and flushes at `min_batch_tuples` when the path is idle —
+/// latency — doubling its patience with every in-flight message until the
+/// fixed `max_batch_tuples` / `max_batch_bytes` ceilings — throughput under
+/// load. Setting `min_batch_tuples = max_batch_tuples` pins the fixed bound.
 ///
 /// A join stage's surviving entry list streams onward in chunks of at most
 /// `max_stage_entries`. When the chunk count exceeds the credit window,
@@ -123,23 +120,21 @@ struct PierMetrics {
 /// being buried. `stage_credit_chunks` = 0 disables pacing (the unpaced
 /// pre-credit behavior).
 ///
-/// With `adaptive_credit` on (the default) the initial window is seeded
-/// from the consumer's observed service rate instead of the constant: the
-/// producer probes the smoothed delivery latency toward the stage's next
-/// hop (sim::DestinationLoad's EWMA) and doubles the window for every
+/// The initial window is seeded from the consumer's observed service rate:
+/// the producer probes the smoothed delivery latency toward the stage's
+/// next hop (sim::DestinationLoad's EWMA) and doubles the window for every
 /// halving of observed latency below `credit_latency_ref`, up to
 /// `max_stage_credit_chunks` — fast owners earn deeper pipelines
-/// automatically. The constant stays the floor (slow or unmeasured paths
-/// never drop below it) and `max_stage_credit_chunks` the ceiling.
+/// automatically. `stage_credit_chunks` stays the floor (slow or unmeasured
+/// paths never drop below it) and `max_stage_credit_chunks` the ceiling;
+/// setting the two equal pins a constant window.
 struct BatchOptions {
   size_t max_batch_tuples = 256;
   size_t max_batch_bytes = 48 * 1024;
   sim::SimTime flush_interval = 50 * sim::kMillisecond;
   size_t max_stage_entries = 1024;
-  bool adaptive_flush = true;
   size_t min_batch_tuples = 16;
   size_t stage_credit_chunks = 4;
-  bool adaptive_credit = true;
   size_t max_stage_credit_chunks = 32;
   sim::SimTime credit_latency_ref = 40 * sim::kMillisecond;
   /// A credit-starved stream is dropped after this long without a grant
@@ -171,12 +166,13 @@ struct BatchOptions {
   sim::SimTime hedge_min_delay = 50 * sim::kMillisecond;
   unsigned hedge_delay_factor = 3;
   sim::SimTime hedge_max_delay = 500 * sim::kMillisecond;
-  /// Stage-0 admission control at the stage owner: refuse plans whose
-  /// posting list (the entry volume the plan would scan and ship) exceeds
-  /// a pressure-scaled budget. Refusals carry a retry-after hint; the
-  /// origin defers and retries within its deadline or resolves the query
-  /// as an explicit labeled shed.
-  bool admission_control = true;
+
+  // Stage-0 admission control at the stage owner: refuse plans whose
+  // posting list (the entry volume the plan would scan and ship) exceeds a
+  // pressure-scaled budget. Refusals carry a retry-after hint; the origin
+  // defers and retries within its deadline or resolves the query as an
+  // explicit labeled shed.
+
   /// In-flight messages at the owner below which every plan is admitted
   /// (an idle node never sheds).
   uint32_t admission_inflight_floor = 4;
@@ -190,34 +186,10 @@ struct BatchOptions {
   size_t admission_defer_budget = 2;
 };
 
-/// One stage of a distributed join chain (one keyword, in PIERSearch).
-/// Legacy description consumed by the ExecuteJoin adapter, which lowers it
-/// into a plan ExecStage (substring filters become Expr::Contains trees).
-struct JoinStage {
-  std::string ns;            ///< Table namespace, e.g. "inverted".
-  Value key;                 ///< DHT key value, e.g. Value("madonna").
-  size_t key_col = 0;        ///< Column that must equal `key`.
-  size_t join_col = 1;       ///< Join attribute column (fileID).
-  /// Columns carried as payload from this stage's tuples (only the stage
-  /// that first produces an entry contributes payload — stage 0 in a
-  /// chain). Empty = carry the join key only.
-  std::vector<size_t> payload_cols;
-  /// If set, tuples must contain all these strings as substrings of
-  /// column `filter_col` (the InvertedCache plan's in-situ selection).
-  std::vector<std::string> substring_filter;
-  size_t filter_col = SIZE_MAX;
-};
-
 /// A join-chain result entry: the join key plus the stage-0 payload.
 struct JoinResultEntry {
   Value join_key;
   Tuple payload;
-};
-
-/// Parameters of one distributed join execution.
-struct DistributedJoin {
-  std::vector<JoinStage> stages;
-  size_t limit = SIZE_MAX;  ///< Cap on result entries returned.
 };
 
 /// Encodes an entry list as a TupleBatch wire image — one row per entry,
@@ -236,10 +208,6 @@ class PierNode {
  public:
   /// Query-plane callbacks carry a Completeness record (see
   /// pier/completeness.h): partial answers are labeled, never silent.
-  /// Legacy two-argument callables keep working through the template
-  /// adapters below, which drop the record at the call boundary.
-  using JoinCallback = std::function<void(Status, std::vector<JoinResultEntry>,
-                                          const Completeness&)>;
   using PlanCallback =
       std::function<void(Status, std::vector<Tuple>, const Completeness&)>;
   using FetchCallback =
@@ -289,22 +257,6 @@ class PierNode {
   /// Fetches all tuples of `schema` keyed by `key` from the owner node.
   void Fetch(const Schema& schema, const Value& key, FetchCallback callback);
 
-  /// Legacy two-argument adapter: a callable not expecting the
-  /// Completeness record compiles unchanged (the record is dropped here;
-  /// the result is still counted and labeled internally). SFINAE keeps the
-  /// three-argument std::function overloads the exact-match winners.
-  template <typename F,
-            std::enable_if_t<
-                std::is_invocable_v<F&, Status, std::vector<Tuple>>, int> = 0>
-  void Fetch(const Schema& schema, const Value& key, F callback) {
-    Fetch(schema, key,
-          FetchCallback([cb = std::move(callback)](
-                            Status s, std::vector<Tuple> rows,
-                            const Completeness&) mutable {
-            cb(std::move(s), std::move(rows));
-          }));
-  }
-
   /// Owner-coalesced multi-key fetch: all tuples of `schema` keyed by any
   /// of `keys`, grouped by resolved owner so a K-owner key set costs K
   /// routed get messages with one TupleBatch reply per owner (see
@@ -312,36 +264,11 @@ class PierNode {
   void FetchMany(const Schema& schema, std::vector<Value> keys,
                  FetchCallback callback);
 
-  template <typename F,
-            std::enable_if_t<
-                std::is_invocable_v<F&, Status, std::vector<Tuple>>, int> = 0>
-  void FetchMany(const Schema& schema, std::vector<Value> keys, F callback) {
-    FetchMany(schema, std::move(keys),
-              FetchCallback([cb = std::move(callback)](
-                                Status s, std::vector<Tuple> rows,
-                                const Completeness&) mutable {
-                cb(std::move(s), std::move(rows));
-              }));
-  }
-
   /// FetchMany without a Schema object: all tuples of namespace `ns` whose
   /// column `index_field` equals one of `keys` — what serialized plans
   /// carry (a FetchJoin node names the table, not a C++ Schema).
   void FetchManyByField(const std::string& ns, size_t index_field,
                         std::vector<Value> keys, FetchCallback callback);
-
-  template <typename F,
-            std::enable_if_t<
-                std::is_invocable_v<F&, Status, std::vector<Tuple>>, int> = 0>
-  void FetchManyByField(const std::string& ns, size_t index_field,
-                        std::vector<Value> keys, F callback) {
-    FetchManyByField(ns, index_field, std::move(keys),
-                     FetchCallback([cb = std::move(callback)](
-                                       Status s, std::vector<Tuple> rows,
-                                       const Completeness&) mutable {
-                       cb(std::move(s), std::move(rows));
-                     }));
-  }
 
   /// Asks the owner of (ns, key) for its posting-list size — the optimizer
   /// probe behind the "smaller posting lists first" ordering.
@@ -359,43 +286,10 @@ class PierNode {
   void ExecutePlan(QueryPlan plan, PlanCallback callback,
                    sim::SimTime timeout = 30 * sim::kSecond);
 
-  template <typename F,
-            std::enable_if_t<
-                std::is_invocable_v<F&, Status, std::vector<Tuple>>, int> = 0>
-  void ExecutePlan(QueryPlan plan, F callback,
-                   sim::SimTime timeout = 30 * sim::kSecond) {
-    ExecutePlan(std::move(plan),
-                PlanCallback([cb = std::move(callback)](
-                                 Status s, std::vector<Tuple> rows,
-                                 const Completeness&) mutable {
-                  cb(std::move(s), std::move(rows));
-                }),
-                timeout);
-  }
-
-  /// Runs a distributed join chain; the callback fires with the surviving
-  /// entries (or a timeout error). Thin adapter over the plan engine: the
-  /// stages are lowered to ExecStages and executed exactly as a compiled
-  /// plan chain would be.
-  void ExecuteJoin(DistributedJoin join, JoinCallback callback,
-                   sim::SimTime timeout = 30 * sim::kSecond);
-
-  template <typename F,
-            std::enable_if_t<std::is_invocable_v<F&, Status,
-                                                 std::vector<JoinResultEntry>>,
-                             int> = 0>
-  void ExecuteJoin(DistributedJoin join, F callback,
-                   sim::SimTime timeout = 30 * sim::kSecond) {
-    ExecuteJoin(std::move(join),
-                JoinCallback([cb = std::move(callback)](
-                                 Status s, std::vector<JoinResultEntry> rows,
-                                 const Completeness&) mutable {
-                  cb(std::move(s), std::move(rows));
-                }),
-                timeout);
-  }
-
  private:
+  using JoinCallback = std::function<void(Status, std::vector<JoinResultEntry>,
+                                          const Completeness&)>;
+
   // Routed app types (offsets from dht::kAppUserBase).
   static constexpr int kAppJoinStage = dht::kAppUserBase + 1;
   static constexpr int kAppSizeProbe = dht::kAppUserBase + 2;
@@ -479,14 +373,12 @@ class PierNode {
     uint32_t generation = 0;  ///< Stamped onto every forwarded chunk.
   };
 
-  /// The shared distributed engine behind ExecutePlan and ExecuteJoin:
-  /// runs the staged chain, accumulating chunked replies at this node.
-  /// `top_level` queries count their own non-exact results into
-  /// partial_results; composed callers (ExecutePlan) pass false and count
-  /// once at their own final resolution.
+  /// The distributed engine behind ExecutePlan: runs the staged chain,
+  /// accumulating chunked replies at this node. Non-exact results are not
+  /// counted here; ExecutePlan counts partial_results once at its own
+  /// final resolution.
   void ExecuteStaged(std::shared_ptr<const StagedQuery> query,
-                     JoinCallback callback, sim::SimTime timeout,
-                     bool top_level = true);
+                     JoinCallback callback, sim::SimTime timeout);
 
   /// FetchManyByField body with the partial-result accounting flag (plan
   /// fetch legs pass top_level=false; their plan counts the partial once).
@@ -531,7 +423,7 @@ class PierNode {
                      size_t wire_size, sim::SimTime expiry,
                      const std::shared_ptr<PublishAck>& ack);
   /// The load-adaptive tuple flush bound for a queue headed to `key`'s
-  /// owner (max_batch_tuples when adaptive_flush is off).
+  /// owner.
   size_t FlushThresholdTuples(dht::Key key) const;
   void FlushQueue(const std::pair<std::string, dht::Key>& dest,
                   RehashQueue* q);
@@ -545,8 +437,8 @@ class PierNode {
   void ForwardToStage(const JoinStageMsg& prev,
                       std::vector<JoinResultEntry> surviving);
   /// The initial credit window for a chunk stream toward `target`'s stage
-  /// owner: the configured constant, deepened by the consumer's observed
-  /// service rate when adaptive_credit is on (see BatchOptions).
+  /// owner: the configured floor, deepened by the consumer's observed
+  /// service rate (see BatchOptions).
   size_t CreditWindowChunks(dht::Key target);
   /// Emits chunk `idx` of `stream` toward its target stage; a non-zero
   /// `stream_id` marks it credit-paced (the receiver acks it).
@@ -598,9 +490,6 @@ class PierNode {
     sim::SimTime watchdog_interval = 0;
     uint64_t watchdog_weight = 0;  ///< weight_received at the last check.
     sim::EventId watchdog = sim::kInvalidEventId;
-    /// True for ExecuteJoin/direct callers: a non-exact resolution counts
-    /// into partial_results here (plan-composed queries count at the plan).
-    bool top_level = true;
     Completeness completeness;
   };
   std::map<uint64_t, PendingJoin> pending_joins_;

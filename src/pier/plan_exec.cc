@@ -280,9 +280,8 @@ void PierNode::ExecutePlan(QueryPlan plan, PlanCallback callback,
   auto staged = std::make_shared<const StagedQuery>(cp->staged);
   sim::Executor* simulator = dht_->network()->executor();
   sim::SimTime deadline = simulator->now() + timeout;
-  // The staged leg runs with top_level=false: the plan is the top-level
-  // query here, and counts its own (merged) completeness exactly once at
-  // whichever resolution path fires below.
+  // The plan is the top-level query: it counts its own (merged)
+  // completeness exactly once at whichever resolution path fires below.
   ExecuteStaged(
       std::move(staged),
       [this, cp, callback = std::move(callback), deadline](
@@ -375,7 +374,7 @@ void PierNode::ExecutePlan(QueryPlan plan, PlanCallback callback,
             },
             /*top_level=*/false);
       },
-      timeout, /*top_level=*/false);
+      timeout);
 }
 
 }  // namespace pierstack::pier

@@ -3,12 +3,11 @@
 // ships over the DHT, plus the local Volcano operators (ops.h) applied at
 // the query node once the distributed stages complete.
 //
-// The staged form generalizes the old hardwired join chain: every
-// distributed stage is an index scan at the stage key's owner with an
-// optional serializable Expr filter and payload projection, symmetric-
-// hash-joined against the incoming entry list. Join chains are the
-// two-table special case; ExecuteJoin survives as a thin adapter that
-// lowers a DistributedJoin into the same StagedQuery.
+// In the staged form every distributed stage is an index scan at the stage
+// key's owner with an optional serializable Expr filter and payload
+// projection, symmetric-hash-joined against the incoming entry list. Join
+// chains are the two-table special case. PierNode::ExecutePlan is the one
+// entry point that compiles and runs a plan.
 #pragma once
 
 #include <string>

@@ -15,7 +15,6 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "pier/node.h"
@@ -56,8 +55,7 @@ struct SearchOptions {
   std::function<void(pier::QueryPlan*)> plan_rewrite;
 };
 
-/// Compiles `terms` into the strategy's query plan — the plan constructors
-/// that replaced the hardwired ExecuteJoin call paths. Exposed for tests,
+/// Compiles `terms` into the strategy's query plan. Exposed for tests,
 /// benches, and deployments that want to rewrite the plan before running
 /// it through PierNode::ExecutePlan.
 pier::QueryPlan BuildDistributedJoinPlan(
@@ -72,8 +70,6 @@ class SearchEngine {
   /// Search results carry the query's pier::Completeness record: a crash,
   /// straggler, or shed plan mid-query yields a PARTIAL hit list, and the
   /// record says so (and why) instead of the answer silently shrinking.
-  /// Legacy two-argument callables keep compiling through the template
-  /// adapters below.
   using SearchCallback = std::function<void(
       Status, std::vector<SearchHit>, const pier::Completeness&)>;
 
@@ -85,40 +81,12 @@ class SearchEngine {
   void Search(const std::string& query_text, const SearchOptions& options,
               SearchCallback callback);
 
-  template <typename F,
-            std::enable_if_t<
-                std::is_invocable_v<F&, Status, std::vector<SearchHit>>,
-                int> = 0>
-  void Search(const std::string& query_text, const SearchOptions& options,
-              F callback) {
-    Search(query_text, options,
-           SearchCallback([cb = std::move(callback)](
-                              Status s, std::vector<SearchHit> hits,
-                              const pier::Completeness&) mutable {
-             cb(std::move(s), std::move(hits));
-           }));
-  }
-
   uint64_t searches_started() const { return searches_started_; }
 
   /// Runs an already-built plan with the engine's hit mapping — the
   /// escape hatch for plan shapes the strategy enum cannot express.
   void RunPlan(pier::QueryPlan plan, const SearchOptions& options,
                SearchCallback callback);
-
-  template <typename F,
-            std::enable_if_t<
-                std::is_invocable_v<F&, Status, std::vector<SearchHit>>,
-                int> = 0>
-  void RunPlan(pier::QueryPlan plan, const SearchOptions& options,
-               F callback) {
-    RunPlan(std::move(plan), options,
-            SearchCallback([cb = std::move(callback)](
-                               Status s, std::vector<SearchHit> hits,
-                               const pier::Completeness&) mutable {
-              cb(std::move(s), std::move(hits));
-            }));
-  }
 
   /// Resolves fileIDs to full Item hits — the plans' final join. The ids
   /// are de-duplicated (duplicate join keys must not evict distinct
@@ -130,20 +98,6 @@ class SearchEngine {
   /// its deadline.
   void FetchItems(std::vector<uint64_t> file_ids,
                   const SearchOptions& options, SearchCallback callback);
-
-  template <typename F,
-            std::enable_if_t<
-                std::is_invocable_v<F&, Status, std::vector<SearchHit>>,
-                int> = 0>
-  void FetchItems(std::vector<uint64_t> file_ids,
-                  const SearchOptions& options, F callback) {
-    FetchItems(std::move(file_ids), options,
-               SearchCallback([cb = std::move(callback)](
-                                  Status s, std::vector<SearchHit> hits,
-                                  const pier::Completeness&) mutable {
-                 cb(std::move(s), std::move(hits));
-               }));
-  }
 
  private:
   pier::PierNode* pier_;

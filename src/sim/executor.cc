@@ -9,6 +9,7 @@ namespace pierstack::sim {
 namespace detail {
 
 void CanonicalQueue::Push(CanonicalEvent ev) {
+  if (ev.id != kInvalidEventId) live_ids_.insert(ev.id);
   heap_.push(std::move(ev));
   ++live_;
 }
@@ -16,10 +17,7 @@ void CanonicalQueue::Push(CanonicalEvent ev) {
 void CanonicalQueue::SkipCancelled() {
   while (!heap_.empty()) {
     EventId id = heap_.top().id;
-    if (id == kInvalidEventId) return;
-    auto it = cancelled_.find(id);
-    if (it == cancelled_.end()) return;
-    cancelled_.erase(it);
+    if (id == kInvalidEventId || live_ids_.count(id) != 0) return;
     heap_.pop();
   }
 }
@@ -42,6 +40,7 @@ CanonicalEvent CanonicalQueue::PopTop() {
   // reads the trivially-copied key fields, which a move leaves intact.
   CanonicalEvent ev = std::move(const_cast<CanonicalEvent&>(heap_.top()));
   heap_.pop();
+  if (ev.id != kInvalidEventId) live_ids_.erase(ev.id);
   --live_;
   return ev;
 }
@@ -54,11 +53,8 @@ bool CanonicalQueue::PeekTime(SimTime* t) {
 }
 
 bool CanonicalQueue::Cancel(EventId id) {
-  if (id == kInvalidEventId) return false;
-  // Lazy deletion, like Simulator: remember the id, skip it when popped.
-  // An id is only handed out once per queue, so a successful insert means
-  // the event is still in the heap.
-  if (!cancelled_.insert(id).second) return false;
+  // Lazy deletion: forget the id; its heap entry is skipped when popped.
+  if (id == kInvalidEventId || live_ids_.erase(id) == 0) return false;
   --live_;
   return true;
 }

@@ -2,11 +2,8 @@
 // against, decoupling DhtNode/PierNode/Gnutella code from any particular
 // event-loop backend.
 //
-// Three backends implement it:
-//  * sim::Simulator (simulator.h) — the legacy single-threaded loop with
-//    global-FIFO timestamp tie-break; the default for existing tests,
-//    bit-compatible with pre-seam behavior.
-//  * sim::SerialExecutor (below) — single-threaded, but orders equal-time
+// Two backends implement it:
+//  * sim::SerialExecutor (below) — single-threaded; orders equal-time
 //    events by the *canonical key* (time, origin host, per-origin seq).
 //    This is the reference ordering a parallel backend can reproduce, and
 //    the baseline every sharded run is fingerprint-checked against.
@@ -132,6 +129,9 @@ struct CanonicalLater {
 
 /// Priority queue over canonical keys with lazy cancellation, shared by
 /// SerialExecutor (one queue) and ShardedExecutor (one per shard).
+/// Cancellable events are tracked by id while they are live (queued and
+/// neither run nor cancelled); a heap entry whose id left that set is
+/// skipped when it surfaces.
 class CanonicalQueue {
  public:
   void Push(CanonicalEvent ev);
@@ -145,6 +145,8 @@ class CanonicalQueue {
   CanonicalEvent PopTop();
   /// Time of the earliest live event; false when empty.
   bool PeekTime(SimTime* t);
+  /// Drops a live event. False for an id that already ran, was cancelled
+  /// before, or was never pushed here.
   bool Cancel(EventId id);
   size_t pending() const { return live_; }
 
@@ -153,8 +155,8 @@ class CanonicalQueue {
   std::priority_queue<CanonicalEvent, std::vector<CanonicalEvent>,
                       CanonicalLater>
       heap_;
-  std::unordered_set<EventId> cancelled_;
-  size_t live_ = 0;
+  std::unordered_set<EventId> live_ids_;  ///< Cancellable and still due.
+  size_t live_ = 0;  ///< Live events, cancellable or not.
 };
 
 }  // namespace detail

@@ -52,7 +52,7 @@
 
 #include "common/rng.h"
 #include "common/stats.h"
-#include "sim/simulator.h"
+#include "sim/executor.h"
 
 namespace pierstack::sim {
 

@@ -103,8 +103,8 @@ Network::Network(Executor* executor, std::unique_ptr<LatencyModel> model,
   // On a sharded backend, exact (quantum 0) load reads would observe
   // whatever a concurrent shard last charged — nondeterministic. Default
   // to epoch-published probes on the lookahead grid so any harness that
-  // lands on a sharded executor is deterministic without opting in;
-  // serial backends keep the exact legacy reads.
+  // lands on a sharded executor is deterministic without opting in; the
+  // serial backend keeps exact reads.
   if (executor_->shard_count() > 1) {
     load_probe_quantum_ = latency_->MinLatency();
   }

@@ -8,13 +8,13 @@
 // adapt batching and pacing to observed load.
 //
 // The network schedules against the Executor seam (sim/executor.h), so the
-// same Send path runs on the legacy serial Simulator and on the sharded
-// multi-threaded backend. Determinism across backends is preserved by
-// giving every send its own hash-derived RNG stream keyed on
-// (seed, from, to, per-sender sequence) instead of one shared sequential
-// generator: each sender's sends happen in canonical order on every
-// backend, so the latency/fault draws are identical no matter how sends
-// from *different* hosts interleave in wall-clock time.
+// same Send path runs on the serial and the sharded multi-threaded backend.
+// Determinism across backends is preserved by giving every send its own
+// hash-derived RNG stream keyed on (seed, from, to, per-sender sequence)
+// instead of one shared sequential generator: each sender's sends happen in
+// canonical order on every backend, so the latency/fault draws are
+// identical no matter how sends from *different* hosts interleave in
+// wall-clock time.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +27,8 @@
 
 #include "common/rng.h"
 #include "common/stats.h"
+#include "sim/executor.h"
 #include "sim/fault.h"
-#include "sim/simulator.h"
 
 namespace pierstack::sim {
 

@@ -123,7 +123,7 @@ bool ShardedExecutor::Cancel(EventId id) {
     assert(tls_exec != this);  // driver events cancel from driver context
     return driver_queue_.Cancel(id);
   }
-  assert(slot < nshards_);
+  if (slot >= nshards_) return false;  // never issued by this executor
   // Only the owning shard's thread, or exclusive driver context, may
   // touch that shard's queue.
   assert(tls_exec != this || tls_shard_idx == slot);

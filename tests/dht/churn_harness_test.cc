@@ -15,9 +15,9 @@
 #include "dht/builder.h"
 #include "dht/churn.h"
 #include "dht/ring_oracle.h"
+#include "sim/executor.h"
 #include "sim/fault.h"
 #include "sim/network.h"
-#include "sim/simulator.h"
 
 namespace pierstack::dht {
 namespace {

@@ -16,7 +16,7 @@ std::vector<uint8_t> Bytes(const std::string& s) {
 }
 
 struct Deployment {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<DhtDeployment> dht;
 

@@ -9,15 +9,15 @@
 #include <memory>
 
 #include "dht/builder.h"
+#include "sim/executor.h"
 #include "sim/fault.h"
 #include "sim/network.h"
-#include "sim/simulator.h"
 
 namespace pierstack::dht {
 namespace {
 
 struct Deployment {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<DhtDeployment> dht;
 

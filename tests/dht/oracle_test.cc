@@ -26,7 +26,7 @@ class DhtOracleTest : public ::testing::TestWithParam<OracleParam> {};
 
 TEST_P(DhtOracleTest, RandomOpsMatchReference) {
   const OracleParam param = GetParam();
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   sim::Network network(&simulator,
                        std::make_unique<sim::UniformLatency>(
                            sim::kMillisecond, 40 * sim::kMillisecond),
@@ -96,7 +96,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DeterminismTest, IdenticalRunsProduceIdenticalMetrics) {
   auto run = [](uint64_t seed) {
-    sim::Simulator simulator;
+    sim::SerialExecutor simulator;
     sim::Network network(&simulator,
                          std::make_unique<sim::UniformLatency>(
                              sim::kMillisecond, 30 * sim::kMillisecond),

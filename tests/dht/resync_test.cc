@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "dht/builder.h"
+#include "sim/executor.h"
 #include "sim/network.h"
-#include "sim/simulator.h"
 
 namespace pierstack::dht {
 namespace {
@@ -18,7 +18,7 @@ namespace {
 constexpr char kNs[] = "resync";
 
 struct Deployment {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<DhtDeployment> dht;
 

@@ -123,7 +123,7 @@ TEST(RouteCacheTest, StaleExactKeyEntryDoesNotMaskWiderArc) {
 // --- DhtNode integration ---------------------------------------------------
 
 struct Deployment {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<DhtDeployment> dht;
 
@@ -251,7 +251,7 @@ TEST(RouteCacheNodeTest, UnackedPutsTeachThroughStandaloneHints) {
 TEST(RouteCacheNodeTest, ClassicPolicyDisablesCacheAndHints) {
   DhtOptions classic;
   classic.routing_policy = RoutingPolicyKind::kClassicChord;
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   sim::Network network(&simulator,
                        std::make_unique<sim::ConstantLatency>(
                            5 * sim::kMillisecond),

@@ -23,7 +23,7 @@ std::vector<uint8_t> Bytes(const std::string& s) {
 }
 
 struct Deployment {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<DhtDeployment> dht;
 
@@ -166,9 +166,6 @@ TEST(ChurnRoutingTest, CacheInvalidatesOnCrashAndFallsBackToRing) {
   // This test IS about the cache: pin the policy regardless of the env
   // default (the classic CI leg turns the cache off deployment-wide).
   opts.routing_policy = RoutingPolicyKind::kCongestionAware;
-  // Replica peels answer without teaching; force owner-authoritative
-  // answers so the warming get deterministically caches the owner.
-  opts.replica_aware_reads = false;
   Deployment d(24, opts);
   Key k = KeyForString("churn-key");
   d.dht->node(0)->Put("inv", k, Bytes("v"));
@@ -185,11 +182,16 @@ TEST(ChurnRoutingTest, CacheInvalidatesOnCrashAndFallsBackToRing) {
     }
   }
   ASSERT_NE(reader, nullptr);
+  // An acked Put from the reader (re-storing the same value): only the
+  // owner acks a Put, and its ack carries the owner hint — whereas a
+  // warming Get could be answered by an in-path replica, which teaches
+  // nothing.
   bool ok = false;
-  reader->Get("inv", k, [&](Status s, auto v) { ok = s.ok() && !v.empty(); });
+  reader->Put("inv", k, Bytes("v"), /*expiry=*/0,
+              [&](Status s) { ok = s.ok(); });
   d.simulator.RunFor(10 * sim::kSecond);
   ASSERT_TRUE(ok);
-  ASSERT_TRUE(reader->route_cache().Lookup(k).valid());
+  ASSERT_EQ(reader->route_cache().Lookup(k).host, owner->host());
 
   // Kill the cached owner mid-workload. The fast path's direct send is
   // REFUSED (failure detector), the entry is dropped, and the request

@@ -10,7 +10,7 @@ namespace pierstack::gnutella {
 namespace {
 
 struct Net {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<GnutellaNetwork> gnutella;
 

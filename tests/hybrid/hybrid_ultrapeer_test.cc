@@ -14,7 +14,7 @@ namespace {
 /// A small world: 20 ultrapeers (all hybrid) in both a Gnutella mesh and a
 /// DHT, with a sparse topology so rare content is out of flooding reach.
 struct World {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<gnutella::GnutellaNetwork> gnutella;
   std::unique_ptr<dht::DhtDeployment> dht;

@@ -12,6 +12,7 @@
 #include "hybrid/hybrid_ultrapeer.h"
 #include "hybrid/schemes.h"
 #include "pier/node.h"
+#include "pier/plan.h"
 #include "workload/trace.h"
 
 namespace pierstack {
@@ -174,7 +175,7 @@ TEST(EndToEndTest, PublishedBytesAccounted) {
 // slow stage owner consumes a chunked join — all surfaced through one
 // CounterSet (the common/stats reporting currency).
 TEST(EndToEndTest, TransportCountersSurfaced) {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   sim::Network network(&simulator,
                        std::make_unique<sim::ConstantLatency>(
                            5 * sim::kMillisecond),
@@ -193,7 +194,7 @@ TEST(EndToEndTest, TransportCountersSurfaced) {
   // Pin the fixed credit window: this test asserts the stall/grant
   // contract at exactly this window; the service-rate-derived window has
   // its own coverage in pier_credit_flow_test.
-  bopts.adaptive_credit = false;
+  bopts.max_stage_credit_chunks = bopts.stage_credit_chunks;
   std::vector<std::unique_ptr<pier::PierNode>> piers;
   for (size_t i = 0; i < dht.size(); ++i) {
     piers.push_back(
@@ -235,7 +236,8 @@ TEST(EndToEndTest, TransportCountersSurfaced) {
   // peel at replicas.
   size_t fetched = 0;
   piers[2]->FetchMany(items, item_keys,
-                      [&](Status s, std::vector<pier::Tuple> tuples) {
+                      [&](Status s, std::vector<pier::Tuple> tuples,
+                          const pier::Completeness&) {
                         ASSERT_TRUE(s.ok()) << s.ToString();
                         fetched = tuples.size();
                       });
@@ -246,7 +248,8 @@ TEST(EndToEndTest, TransportCountersSurfaced) {
   // owners' arcs, so the warm scatter must hit the owner location cache.
   fetched = 0;
   piers[2]->FetchMany(items, item_keys,
-                      [&](Status s, std::vector<pier::Tuple> tuples) {
+                      [&](Status s, std::vector<pier::Tuple> tuples,
+                          const pier::Completeness&) {
                         ASSERT_TRUE(s.ok()) << s.ToString();
                         fetched = tuples.size();
                       });
@@ -259,18 +262,18 @@ TEST(EndToEndTest, TransportCountersSurfaced) {
       HashCombine(Fnv1a64("inverted"), pier::Value(std::string("beta")).Hash());
   network.SetProcessingDelay(dht.ExpectedOwner(beta_key)->host(),
                              20 * sim::kMillisecond);
-  pier::DistributedJoin join;
-  for (const char* kw : {"alpha", "beta"}) {
-    pier::JoinStage stage;
-    stage.ns = "inverted";
-    stage.key = pier::Value(std::string(kw));
-    join.stages.push_back(std::move(stage));
-  }
+  pier::QueryPlan join =
+      pier::PlanBuilder()
+          .IndexScan("inverted", pier::Value(std::string("alpha")))
+          .RehashJoin("inverted", pier::Value(std::string("beta")))
+          .Build();
   size_t results = 0;
-  piers[5]->ExecuteJoin(std::move(join), [&](Status s, auto entries) {
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    results = entries.size();
-  });
+  piers[5]->ExecutePlan(std::move(join),
+                        [&](Status s, std::vector<pier::Tuple> rows,
+                            const pier::Completeness&) {
+                          ASSERT_TRUE(s.ok()) << s.ToString();
+                          results = rows.size();
+                        });
   simulator.Run();
   EXPECT_EQ(results, 120u);
 

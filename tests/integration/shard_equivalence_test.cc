@@ -17,6 +17,7 @@
 #include "dht/churn.h"
 #include "dht/ring_oracle.h"
 #include "pier/node.h"
+#include "pier/plan.h"
 #include "sim/executor.h"
 #include "sim/fault.h"
 #include "sim/network.h"
@@ -262,7 +263,8 @@ FetchFingerprint RunFetchScenario(Backend backend) {
     std::vector<uint64_t> got;
     bool done = false;
     piers[3]->FetchMany(ItemLikeSchema(), std::move(keys),
-                        [&](Status s, std::vector<pier::Tuple> tuples) {
+                        [&](Status s, std::vector<pier::Tuple> tuples,
+                            const pier::Completeness&) {
                           done = true;
                           EXPECT_TRUE(s.ok()) << s.ToString();
                           for (const pier::Tuple& t : tuples) {
@@ -333,6 +335,11 @@ RobustFingerprint RunRobustQueryScenario(size_t shards) {
   dht::DhtOptions opts;
   opts.replication = 3;
   opts.maintenance = true;
+  // The crash and the straggler hit owners the queries reach directly
+  // through the location cache; pin the default policy so the classic
+  // leg's ring walk (which reroutes around the crash below the query
+  // plane) still runs the scenario as written.
+  opts.routing_policy = dht::RoutingPolicyKind::kCongestionAware;
   auto dht = std::make_unique<dht::DhtDeployment>(network.get(), 16, opts,
                                                   777);
   pier::PierMetrics metrics;
@@ -374,7 +381,8 @@ RobustFingerprint RunRobustQueryScenario(size_t shards) {
     for (uint64_t f = 1; f <= 24; ++f) keys.emplace_back(pier::Value(f));
     piers[origin_idx]->FetchMany(
         ItemLikeSchema(), std::move(keys),
-        [out](Status, std::vector<pier::Tuple> tuples) {
+        [out](Status, std::vector<pier::Tuple> tuples,
+              const pier::Completeness&) {
           if (out == nullptr) return;
           for (const pier::Tuple& t : tuples) {
             out->push_back(t.at(0).AsUint64());
@@ -402,17 +410,13 @@ RobustFingerprint RunRobustQueryScenario(size_t shards) {
       break;
     }
   }
-  pier::DistributedJoin join;
-  pier::JoinStage stage;
-  stage.ns = "inverted";
-  stage.key = pier::Value("alpha");
-  join.stages.push_back(std::move(stage));
   std::vector<uint64_t> answered;
-  piers[join_idx]->ExecuteJoin(
-      std::move(join),
-      [&answered](Status, std::vector<pier::JoinResultEntry> entries) {
-        for (const auto& e : entries) {
-          answered.push_back(e.join_key.AsUint64());
+  piers[join_idx]->ExecutePlan(
+      pier::PlanBuilder().IndexScan("inverted", pier::Value("alpha")).Build(),
+      [&answered](Status, std::vector<pier::Tuple> rows,
+                  const pier::Completeness&) {
+        for (const pier::Tuple& r : rows) {
+          answered.push_back(r.at(0).AsUint64());
         }
       },
       /*timeout=*/20 * sim::kSecond);

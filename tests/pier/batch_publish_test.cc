@@ -22,7 +22,7 @@ const Schema& InvSchema() {
 }
 
 struct Cluster {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<dht::DhtDeployment> dht;
   PierMetrics metrics;

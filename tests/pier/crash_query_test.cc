@@ -39,7 +39,7 @@ dht::Key RingKeyFor(const std::string& ns, const Value& key) {
 }
 
 struct Cluster {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<dht::DhtDeployment> dht;
   PierMetrics metrics;
@@ -101,7 +101,7 @@ TEST_P(CrashQueryTest, MultiGetResolvesAcrossMidFlightOwnerCrash) {
                         answered = items.size();
                       });
   // Crash while the request is on the wire (latency is 5ms).
-  c.simulator.ScheduleAfter(2 * sim::kMillisecond,
+  c.simulator.ScheduleAfter(sim::kDriverHost, 2 * sim::kMillisecond,
                             [&] { first_owner->Crash(); });
 
   sim::SimTime deadline = c.dht->options().get_timeout;
@@ -145,12 +145,12 @@ TEST_P(CrashQueryTest, ExecutePlanResolvesAcrossMidFlightOwnerCrash) {
   constexpr sim::SimTime kPlanTimeout = 10 * sim::kSecond;
   c.piers[query_idx]->ExecutePlan(
       std::move(plan),
-      [&](Status, std::vector<Tuple>) {
+      [&](Status, std::vector<Tuple>, const Completeness&) {
         fired = true;
         fired_at = c.simulator.now();
       },
       kPlanTimeout);
-  c.simulator.ScheduleAfter(2 * sim::kMillisecond,
+  c.simulator.ScheduleAfter(sim::kDriverHost, 2 * sim::kMillisecond,
                             [&] { scan_owner->Crash(); });
 
   c.simulator.RunFor(kPlanTimeout + 10 * sim::kSecond);

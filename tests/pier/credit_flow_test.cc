@@ -8,6 +8,7 @@
 
 #include "dht/builder.h"
 #include "pier/node.h"
+#include "pier/plan.h"
 
 namespace pierstack::pier {
 namespace {
@@ -20,7 +21,7 @@ const Schema& InvSchema() {
 }
 
 struct Cluster {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<dht::DhtDeployment> dht;
   PierMetrics metrics;
@@ -48,15 +49,14 @@ struct Cluster {
     simulator.Run();
   }
 
-  DistributedJoin TwoStage() {
-    DistributedJoin join;
-    for (const char* kw : {"alpha", "beta"}) {
-      JoinStage stage;
-      stage.ns = "inverted";
-      stage.key = Value(std::string(kw));
-      join.stages.push_back(std::move(stage));
-    }
-    return join;
+  QueryPlan TwoStage() { return TwoKeywordPlan("alpha", "beta"); }
+
+  static QueryPlan TwoKeywordPlan(const std::string& kw0,
+                                  const std::string& kw1) {
+    return PlanBuilder()
+        .IndexScan("inverted", Value(kw0))
+        .RehashJoin("inverted", Value(kw1))
+        .Build();
   }
 
   sim::HostId OwnerOf(const std::string& kw) {
@@ -66,12 +66,13 @@ struct Cluster {
 
   std::set<uint64_t> RunJoin(int* completions = nullptr) {
     std::set<uint64_t> ids;
-    piers[3]->ExecuteJoin(TwoStage(), [&, completions](Status s,
-                                                       auto entries) {
-      if (completions) ++*completions;
-      EXPECT_TRUE(s.ok()) << s.ToString();
-      for (const auto& e : entries) ids.insert(e.join_key.AsUint64());
-    });
+    piers[3]->ExecutePlan(
+        TwoStage(), [&, completions](Status s, std::vector<Tuple> rows,
+                                     const Completeness&) {
+          if (completions) ++*completions;
+          EXPECT_TRUE(s.ok()) << s.ToString();
+          for (const Tuple& r : rows) ids.insert(r.at(0).AsUint64());
+        });
     simulator.Run();
     return ids;
   }
@@ -82,9 +83,9 @@ BatchOptions ChunkyOptions(size_t credit_window) {
   opts.max_stage_entries = 8;  // 400 stage-0 survivors -> 50 chunks
   opts.stage_credit_chunks = credit_window;
   // These tests assert the fixed-window contract at exactly
-  // `credit_window`; the service-rate-derived window is covered by the
-  // AdaptiveCredit tests below.
-  opts.adaptive_credit = false;
+  // `credit_window` (floor = ceiling); the service-rate-derived window is
+  // covered by the AdaptiveWindow tests below.
+  opts.max_stage_credit_chunks = credit_window;
   return opts;
 }
 
@@ -167,20 +168,17 @@ std::pair<std::string, std::string> DistinctOwnerKeywords(Cluster* c) {
 
 std::set<uint64_t> RunTwoKeywordJoin(Cluster* c, const std::string& kw0,
                                      const std::string& kw1) {
-  DistributedJoin join;
-  for (const std::string* kw : {&kw0, &kw1}) {
-    JoinStage stage;
-    stage.ns = "inverted";
-    stage.key = Value(*kw);
-    join.stages.push_back(std::move(stage));
-  }
   std::set<uint64_t> ids;
   bool done = false;
-  c->piers[0]->ExecuteJoin(std::move(join), [&](Status s, auto entries) {
-    done = true;
-    EXPECT_TRUE(s.ok()) << s.ToString();
-    for (const auto& e : entries) ids.insert(e.join_key.AsUint64());
-  });
+  c->piers[0]->ExecutePlan(Cluster::TwoKeywordPlan(kw0, kw1),
+                           [&](Status s, std::vector<Tuple> rows,
+                               const Completeness&) {
+                             done = true;
+                             EXPECT_TRUE(s.ok()) << s.ToString();
+                             for (const Tuple& r : rows) {
+                               ids.insert(r.at(0).AsUint64());
+                             }
+                           });
   c->simulator.Run();
   EXPECT_TRUE(done);
   return ids;
@@ -194,7 +192,6 @@ TEST(CreditFlowTest, AdaptiveWindowDeepensPipelineTowardFastOwner) {
   // episodes, identical answers.
   BatchOptions fixed = ChunkyOptions(2);
   BatchOptions adaptive = ChunkyOptions(2);
-  adaptive.adaptive_credit = true;
   adaptive.max_stage_credit_chunks = 16;
   Cluster base(2, fixed), derived(2, adaptive);
   std::set<uint64_t> answers[2];
@@ -217,7 +214,7 @@ TEST(CreditFlowTest, AdaptiveWindowHoldsFloorTowardSlowOwner) {
   // must NOT earn a deeper window: the constant stays the floor and the
   // backpressure contract (stalls at the base window) is preserved.
   BatchOptions adaptive = ChunkyOptions(2);
-  adaptive.adaptive_credit = true;
+  adaptive.max_stage_credit_chunks = BatchOptions{}.max_stage_credit_chunks;
   adaptive.credit_latency_ref = 40 * sim::kMillisecond;
   Cluster c(2, adaptive);
   auto [kw0, kw1] = DistinctOwnerKeywords(&c);
@@ -247,12 +244,13 @@ TEST(CreditFlowTest, StarvedStreamExpiresAndJoinTimesOutWithPartial) {
   // time out with the partial-result contract intact.
   c.network->SetProcessingDelay(c.OwnerOf("beta"), 60 * sim::kSecond);
   bool done = false;
-  c.piers[3]->ExecuteJoin(
+  c.piers[3]->ExecutePlan(
       c.TwoStage(),
-      [&](Status s, auto entries) {
+      [&](Status s, std::vector<Tuple> rows, const Completeness& done_c) {
         done = true;
         EXPECT_FALSE(s.ok());  // timed out, not completed
-        (void)entries;         // whatever chunks made it — none here
+        EXPECT_FALSE(done_c.exact);
+        (void)rows;  // whatever chunks made it — none here
       },
       /*timeout=*/20 * sim::kSecond);
   c.simulator.Run();

@@ -25,7 +25,7 @@ dht::Key ItemKey(uint64_t id) {
 }
 
 struct Cluster {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<dht::DhtDeployment> dht;
   PierMetrics metrics;
@@ -73,7 +73,8 @@ TEST(FetchManyTest, ReturnsAllRequestedTuples) {
   std::vector<Value> keys;
   for (uint64_t id : ids) keys.emplace_back(Value(id));
   c.piers[3]->FetchMany(ItemLikeSchema(), keys,
-                        [&](Status s, std::vector<Tuple> tuples) {
+                        [&](Status s, std::vector<Tuple> tuples,
+                            const Completeness&) {
                           done = true;
                           ASSERT_TRUE(s.ok()) << s.ToString();
                           for (const Tuple& t : tuples) {
@@ -98,7 +99,8 @@ TEST(FetchManyTest, ExactlyOneRoutedGetPerOwner) {
   for (uint64_t id : ids) keys.emplace_back(Value(id));
   size_t fetched = 0;
   c.piers[5]->FetchMany(ItemLikeSchema(), keys,
-                        [&](Status s, std::vector<Tuple> tuples) {
+                        [&](Status s, std::vector<Tuple> tuples,
+                            const Completeness&) {
                           ASSERT_TRUE(s.ok());
                           fetched = tuples.size();
                         });
@@ -118,7 +120,8 @@ TEST(FetchManyTest, HalvesMessagesVersusPerKeyFetch) {
   size_t remaining = ids_a.size(), got_a = 0;
   for (uint64_t id : ids_a) {
     per_key.piers[2]->Fetch(ItemLikeSchema(), Value(id),
-                            [&](Status s, std::vector<Tuple> tuples) {
+                            [&](Status s, std::vector<Tuple> tuples,
+                                const Completeness&) {
                               ASSERT_TRUE(s.ok());
                               got_a += tuples.size();
                               --remaining;
@@ -133,7 +136,8 @@ TEST(FetchManyTest, HalvesMessagesVersusPerKeyFetch) {
   for (uint64_t id : ids_b) keys.emplace_back(Value(id));
   size_t got_b = 0;
   coalesced.piers[2]->FetchMany(ItemLikeSchema(), keys,
-                                [&](Status s, std::vector<Tuple> tuples) {
+                                [&](Status s, std::vector<Tuple> tuples,
+                                    const Completeness&) {
                                   ASSERT_TRUE(s.ok());
                                   got_b = tuples.size();
                                 });
@@ -155,7 +159,8 @@ TEST(FetchManyTest, DuplicateKeysCollapse) {
                           Value(uint64_t{2}), Value(uint64_t{2})};
   std::multiset<uint64_t> got;
   c.piers[1]->FetchMany(ItemLikeSchema(), keys,
-                        [&](Status s, std::vector<Tuple> tuples) {
+                        [&](Status s, std::vector<Tuple> tuples,
+                            const Completeness&) {
                           ASSERT_TRUE(s.ok());
                           for (const Tuple& t : tuples) {
                             got.insert(t.at(0).AsUint64());
@@ -173,7 +178,8 @@ TEST(FetchManyTest, OnlyRequestedIdsReturned) {
   std::set<uint64_t> got;
   c.piers[4]->FetchMany(ItemLikeSchema(),
                         {Value(uint64_t{3}), Value(uint64_t{7})},
-                        [&](Status s, std::vector<Tuple> tuples) {
+                        [&](Status s, std::vector<Tuple> tuples,
+                            const Completeness&) {
                           ASSERT_TRUE(s.ok());
                           for (const Tuple& t : tuples) {
                             got.insert(t.at(0).AsUint64());
@@ -187,7 +193,8 @@ TEST(FetchManyTest, EmptyKeySetCompletesImmediately) {
   Cluster c(4);
   bool done = false;
   c.piers[0]->FetchMany(ItemLikeSchema(), {},
-                        [&](Status s, std::vector<Tuple> tuples) {
+                        [&](Status s, std::vector<Tuple> tuples,
+                            const Completeness&) {
                           done = true;
                           EXPECT_TRUE(s.ok());
                           EXPECT_TRUE(tuples.empty());
@@ -204,7 +211,7 @@ TEST(FetchManyTest, MissingKeysStillComplete) {
   c.piers[1]->FetchMany(
       ItemLikeSchema(),
       {Value(uint64_t{1}), Value(uint64_t{999}), Value(uint64_t{1000})},
-      [&](Status s, std::vector<Tuple> tuples) {
+      [&](Status s, std::vector<Tuple> tuples, const Completeness&) {
         done = true;
         ASSERT_TRUE(s.ok());
         for (const Tuple& t : tuples) got.insert(t.at(0).AsUint64());

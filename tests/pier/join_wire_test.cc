@@ -8,6 +8,7 @@
 
 #include "dht/builder.h"
 #include "pier/node.h"
+#include "pier/plan.h"
 #include "pier/tuple_batch.h"
 
 namespace pierstack::pier {
@@ -83,7 +84,7 @@ TEST(JoinWireTest, CorruptTailCountsDropped) {
 }
 
 struct Cluster {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<dht::DhtDeployment> dht;
   PierMetrics metrics;
@@ -113,16 +114,28 @@ struct Cluster {
     simulator.Run();
   }
 
-  DistributedJoin TwoStage(size_t limit = SIZE_MAX) {
-    DistributedJoin join;
-    for (const char* kw : {"alpha", "beta"}) {
-      JoinStage stage;
-      stage.ns = "inverted";
-      stage.key = Value(std::string(kw));
-      join.stages.push_back(std::move(stage));
-    }
-    join.limit = limit;
-    return join;
+  QueryPlan TwoStage(size_t limit = SIZE_MAX) {
+    PlanBuilder b;
+    b.IndexScan("inverted", Value(std::string("alpha")))
+        .RehashJoin("inverted", Value(std::string("beta")));
+    if (limit != SIZE_MAX) b.Limit(limit);
+    return b.Build();
+  }
+
+  /// Runs `plan` from node `from` to quiescence and returns the join keys
+  /// of its rows; `*completions` counts callback invocations.
+  std::set<uint64_t> RunJoin(size_t from, QueryPlan plan,
+                             int* completions = nullptr) {
+    std::set<uint64_t> ids;
+    piers[from]->ExecutePlan(
+        std::move(plan), [&, completions](Status s, std::vector<Tuple> rows,
+                                          const Completeness&) {
+          if (completions) ++*completions;
+          EXPECT_TRUE(s.ok()) << s.ToString();
+          for (const Tuple& r : rows) ids.insert(r.at(0).AsUint64());
+        });
+    simulator.Run();
+    return ids;
   }
 };
 
@@ -133,17 +146,9 @@ TEST(JoinWireTest, ChunkedStageStreamingReturnsCompleteAnswer) {
   Cluster chunked(16, /*max_stage_entries=*/8);
   chunked.PublishPostings("alpha", 0, 100);
   chunked.PublishPostings("beta", 50, 150);
-  std::set<uint64_t> ids;
   int completions = 0;
-  chunked.piers[3]->ExecuteJoin(chunked.TwoStage(),
-                                [&](Status s, auto entries) {
-                                  ++completions;
-                                  ASSERT_TRUE(s.ok());
-                                  for (const auto& e : entries) {
-                                    ids.insert(e.join_key.AsUint64());
-                                  }
-                                });
-  chunked.simulator.Run();
+  std::set<uint64_t> ids = chunked.RunJoin(3, chunked.TwoStage(),
+                                           &completions);
   EXPECT_EQ(completions, 1);  // weight conservation: fires exactly once
   std::set<uint64_t> expect;
   for (uint64_t f = 50; f < 100; ++f) expect.insert(f);
@@ -160,16 +165,8 @@ TEST(JoinWireTest, ChunkedAndUnchunkedAnswersMatch) {
     c->PublishPostings("alpha", 0, 60);
     c->PublishPostings("beta", 30, 90);
   }
-  auto run = [](Cluster* c) {
-    std::set<uint64_t> ids;
-    c->piers[1]->ExecuteJoin(c->TwoStage(), [&](Status s, auto entries) {
-      EXPECT_TRUE(s.ok());
-      for (const auto& e : entries) ids.insert(e.join_key.AsUint64());
-    });
-    c->simulator.Run();
-    return ids;
-  };
-  auto a = run(&chunked), b = run(&whole);
+  auto a = chunked.RunJoin(1, chunked.TwoStage());
+  auto b = whole.RunJoin(1, whole.TwoStage());
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.size(), 30u);
   EXPECT_GT(chunked.metrics.join_stage_messages,
@@ -180,14 +177,7 @@ TEST(JoinWireTest, LimitHoldsAcrossChunks) {
   Cluster c(16, /*max_stage_entries=*/8);
   c.PublishPostings("alpha", 0, 80);
   c.PublishPostings("beta", 0, 80);
-  size_t got = 0;
-  c.piers[2]->ExecuteJoin(c.TwoStage(/*limit=*/10),
-                          [&](Status s, auto entries) {
-                            ASSERT_TRUE(s.ok());
-                            got = entries.size();
-                          });
-  c.simulator.Run();
-  EXPECT_EQ(got, 10u);
+  EXPECT_EQ(c.RunJoin(2, c.TwoStage(/*limit=*/10)).size(), 10u);
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
-// PierNode: DHT-backed storage and the distributed join chain.
+// PierNode: DHT-backed storage and the distributed join chain, run as
+// IndexScan/RehashJoin plans through ExecutePlan.
 #include "pier/node.h"
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
 #include <set>
 
 #include "dht/builder.h"
+#include "pier/plan.h"
 
 namespace pierstack::pier {
 namespace {
@@ -19,7 +22,7 @@ const Schema& InvSchema() {
 }
 
 struct Cluster {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<dht::DhtDeployment> dht;
   PierMetrics metrics;
@@ -44,7 +47,46 @@ struct Cluster {
     pier(from)->Publish(InvSchema(),
                         Tuple({Value(kw), Value(file_id)}));
   }
+
+  /// Runs `plan` from node `from` to quiescence and returns its
+  /// [join_key, payload...] rows; the callback must fire OK.
+  std::vector<Tuple> RunPlan(size_t from, QueryPlan plan) {
+    std::vector<Tuple> out;
+    bool done = false;
+    pier(from)->ExecutePlan(std::move(plan),
+                            [&](Status s, std::vector<Tuple> rows,
+                                const Completeness&) {
+                              done = true;
+                              EXPECT_TRUE(s.ok()) << s.ToString();
+                              out = std::move(rows);
+                            });
+    simulator.Run();
+    EXPECT_TRUE(done);
+    return out;
+  }
 };
+
+/// The keyword chain over "inverted": an IndexScan on the first keyword,
+/// RehashJoined with each later one on fileID.
+QueryPlan Chain(std::initializer_list<const char*> keywords) {
+  PlanBuilder b;
+  bool first = true;
+  for (const char* kw : keywords) {
+    if (first) {
+      b.IndexScan("inverted", Value(std::string(kw)));
+    } else {
+      b.RehashJoin("inverted", Value(std::string(kw)));
+    }
+    first = false;
+  }
+  return b.Build();
+}
+
+std::set<uint64_t> JoinKeys(const std::vector<Tuple>& rows) {
+  std::set<uint64_t> ids;
+  for (const Tuple& r : rows) ids.insert(r.at(0).AsUint64());
+  return ids;
+}
 
 TEST(PierNodeTest, PublishLandsAtKeywordOwner) {
   Cluster c(32);
@@ -73,7 +115,8 @@ TEST(PierNodeTest, FetchReturnsAllTuplesForKey) {
   c.simulator.Run();
   std::vector<Tuple> got;
   c.pier(9)->Fetch(InvSchema(), Value(std::string("beatles")),
-                   [&](Status s, std::vector<Tuple> tuples) {
+                   [&](Status s, std::vector<Tuple> tuples,
+                       const Completeness&) {
                      ASSERT_TRUE(s.ok());
                      got = std::move(tuples);
                    });
@@ -85,18 +128,8 @@ TEST(PierNodeTest, SingleStageJoinReturnsPostingList) {
   Cluster c(16);
   for (uint64_t f : {10u, 20u, 30u}) c.PublishPosting(0, "solo", f);
   c.simulator.Run();
-  DistributedJoin join;
-  JoinStage stage;
-  stage.ns = "inverted";
-  stage.key = Value(std::string("solo"));
-  join.stages.push_back(stage);
-  std::set<uint64_t> ids;
-  c.pier(5)->ExecuteJoin(join, [&](Status s, auto entries) {
-    ASSERT_TRUE(s.ok());
-    for (const auto& e : entries) ids.insert(e.join_key.AsUint64());
-  });
-  c.simulator.Run();
-  EXPECT_EQ(ids, (std::set<uint64_t>{10, 20, 30}));
+  EXPECT_EQ(JoinKeys(c.RunPlan(5, Chain({"solo"}))),
+            (std::set<uint64_t>{10, 20, 30}));
 }
 
 TEST(PierNodeTest, TwoStageChainIntersects) {
@@ -105,23 +138,8 @@ TEST(PierNodeTest, TwoStageChainIntersects) {
   for (uint64_t f : {1u, 2u, 3u}) c.PublishPosting(0, "alpha", f);
   for (uint64_t f : {2u, 3u, 4u}) c.PublishPosting(1, "beta", f);
   c.simulator.Run();
-  DistributedJoin join;
-  for (const char* kw : {"alpha", "beta"}) {
-    JoinStage stage;
-    stage.ns = "inverted";
-    stage.key = Value(std::string(kw));
-    join.stages.push_back(stage);
-  }
-  std::set<uint64_t> ids;
-  bool done = false;
-  c.pier(7)->ExecuteJoin(join, [&](Status s, auto entries) {
-    done = true;
-    ASSERT_TRUE(s.ok());
-    for (const auto& e : entries) ids.insert(e.join_key.AsUint64());
-  });
-  c.simulator.Run();
-  EXPECT_TRUE(done);
-  EXPECT_EQ(ids, (std::set<uint64_t>{2, 3}));
+  EXPECT_EQ(JoinKeys(c.RunPlan(7, Chain({"alpha", "beta"}))),
+            (std::set<uint64_t>{2, 3}));
 }
 
 TEST(PierNodeTest, ThreeStageChain) {
@@ -130,20 +148,8 @@ TEST(PierNodeTest, ThreeStageChain) {
   for (uint64_t f : {2u, 3u, 4u, 5u}) c.PublishPosting(0, "b", f);
   for (uint64_t f : {3u, 4u, 6u}) c.PublishPosting(0, "c", f);
   c.simulator.Run();
-  DistributedJoin join;
-  for (const char* kw : {"a", "b", "c"}) {
-    JoinStage stage;
-    stage.ns = "inverted";
-    stage.key = Value(std::string(kw));
-    join.stages.push_back(stage);
-  }
-  std::set<uint64_t> ids;
-  c.pier(3)->ExecuteJoin(join, [&](Status s, auto entries) {
-    ASSERT_TRUE(s.ok());
-    for (const auto& e : entries) ids.insert(e.join_key.AsUint64());
-  });
-  c.simulator.Run();
-  EXPECT_EQ(ids, (std::set<uint64_t>{3, 4}));
+  EXPECT_EQ(JoinKeys(c.RunPlan(3, Chain({"a", "b", "c"}))),
+            (std::set<uint64_t>{3, 4}));
 }
 
 TEST(PierNodeTest, EmptyIntersectionShortCircuits) {
@@ -153,21 +159,7 @@ TEST(PierNodeTest, EmptyIntersectionShortCircuits) {
   c.PublishPosting(0, "tail", 3);
   c.simulator.Run();
   c.metrics = PierMetrics{};
-  DistributedJoin join;
-  for (const char* kw : {"left", "right", "tail"}) {
-    JoinStage stage;
-    stage.ns = "inverted";
-    stage.key = Value(std::string(kw));
-    join.stages.push_back(stage);
-  }
-  bool done = false;
-  c.pier(2)->ExecuteJoin(join, [&](Status s, auto entries) {
-    done = true;
-    EXPECT_TRUE(s.ok());
-    EXPECT_TRUE(entries.empty());
-  });
-  c.simulator.Run();
-  EXPECT_TRUE(done);
+  EXPECT_TRUE(c.RunPlan(2, Chain({"left", "right", "tail"})).empty());
   // The chain stopped after stage 2 (empty after intersecting "right"):
   // only the initial route plus one forward happened.
   EXPECT_LE(c.metrics.join_stage_messages, 2u);
@@ -177,40 +169,18 @@ TEST(PierNodeTest, MissingKeywordYieldsEmpty) {
   Cluster c(16);
   c.PublishPosting(0, "exists", 1);
   c.simulator.Run();
-  DistributedJoin join;
-  for (const char* kw : {"exists", "missing"}) {
-    JoinStage stage;
-    stage.ns = "inverted";
-    stage.key = Value(std::string(kw));
-    join.stages.push_back(stage);
-  }
-  bool done = false;
-  c.pier(1)->ExecuteJoin(join, [&](Status s, auto entries) {
-    done = true;
-    EXPECT_TRUE(s.ok());
-    EXPECT_TRUE(entries.empty());
-  });
-  c.simulator.Run();
-  EXPECT_TRUE(done);
+  EXPECT_TRUE(c.RunPlan(1, Chain({"exists", "missing"})).empty());
 }
 
 TEST(PierNodeTest, LimitCapsResults) {
   Cluster c(16);
   for (uint64_t f = 0; f < 50; ++f) c.PublishPosting(0, "many", f);
   c.simulator.Run();
-  DistributedJoin join;
-  JoinStage stage;
-  stage.ns = "inverted";
-  stage.key = Value(std::string("many"));
-  join.stages.push_back(stage);
-  join.limit = 10;
-  size_t got = 0;
-  c.pier(1)->ExecuteJoin(join, [&](Status s, auto entries) {
-    ASSERT_TRUE(s.ok());
-    got = entries.size();
-  });
-  c.simulator.Run();
-  EXPECT_EQ(got, 10u);
+  QueryPlan plan = PlanBuilder()
+                       .IndexScan("inverted", Value(std::string("many")))
+                       .Limit(10)
+                       .Build();
+  EXPECT_EQ(c.RunPlan(1, std::move(plan)).size(), 10u);
 }
 
 TEST(PierNodeTest, SubstringFilterStage) {
@@ -225,25 +195,17 @@ TEST(PierNodeTest, SubstringFilterStage) {
   c.pier(0)->Publish(ic, Tuple({Value(std::string("moon")), Value(uint64_t{2}),
                                 Value(std::string("blue moon swing.mp3"))}));
   c.simulator.Run();
-  DistributedJoin join;
-  JoinStage stage;
-  stage.ns = "invcache";
-  stage.key = Value(std::string("moon"));
-  stage.key_col = 0;
-  stage.join_col = 1;
-  stage.payload_cols = {1, 2};
-  stage.filter_col = 2;
-  stage.substring_filter = {"dark"};
-  join.stages.push_back(stage);
-  std::vector<JoinResultEntry> got;
-  c.pier(4)->ExecuteJoin(join, [&](Status s, auto entries) {
-    ASSERT_TRUE(s.ok());
-    got = std::move(entries);
-  });
-  c.simulator.Run();
+  // Rows are [join_key, fileID, fulltext]: the stage's payload follows
+  // the join key.
+  QueryPlan plan = PlanBuilder()
+                       .IndexScan("invcache", Value(std::string("moon")), 0, 1)
+                       .Filter(Expr::Contains(Expr::Column(2), "dark"))
+                       .Project({1, 2})
+                       .Build();
+  std::vector<Tuple> got = c.RunPlan(4, std::move(plan));
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].join_key.AsUint64(), 1u);
-  EXPECT_EQ(got[0].payload.at(1).AsString(), "dark side moon.mp3");
+  EXPECT_EQ(got[0].at(0).AsUint64(), 1u);
+  EXPECT_EQ(got[0].at(2).AsString(), "dark side moon.mp3");
 }
 
 TEST(PierNodeTest, ProbePostingSize) {
@@ -274,15 +236,7 @@ TEST(PierNodeTest, ShippedEntriesCounted) {
   for (uint64_t f = 0; f < 20; f += 2) c.PublishPosting(0, "second", f);
   c.simulator.Run();
   c.metrics = PierMetrics{};
-  DistributedJoin join;
-  for (const char* kw : {"first", "second"}) {
-    JoinStage stage;
-    stage.ns = "inverted";
-    stage.key = Value(std::string(kw));
-    join.stages.push_back(stage);
-  }
-  c.pier(1)->ExecuteJoin(join, [](Status, auto) {});
-  c.simulator.Run();
+  c.RunPlan(1, Chain({"first", "second"}));
   // Stage 0 ships its 20 postings to stage 1.
   EXPECT_EQ(c.metrics.posting_entries_shipped, 20u);
 }
@@ -291,18 +245,8 @@ TEST(PierNodeTest, WorksOnBambooOverlay) {
   Cluster c(32, dht::OverlayKind::kBamboo);
   for (uint64_t f : {1u, 2u}) c.PublishPosting(0, "bamboo", f);
   c.simulator.Run();
-  DistributedJoin join;
-  JoinStage stage;
-  stage.ns = "inverted";
-  stage.key = Value(std::string("bamboo"));
-  join.stages.push_back(stage);
-  std::set<uint64_t> ids;
-  c.pier(9)->ExecuteJoin(join, [&](Status s, auto entries) {
-    ASSERT_TRUE(s.ok());
-    for (const auto& e : entries) ids.insert(e.join_key.AsUint64());
-  });
-  c.simulator.Run();
-  EXPECT_EQ(ids, (std::set<uint64_t>{1, 2}));
+  EXPECT_EQ(JoinKeys(c.RunPlan(9, Chain({"bamboo"}))),
+            (std::set<uint64_t>{1, 2}));
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // ExecutePlan end to end over a real DHT topology: compiled plan chains
-// must return the exact answer set (and message cost) of the legacy
-// ExecuteJoin path, and plan shapes the old API could not express —
-// filter-pushdown keyword joins, TopK over fetched columns, aggregates —
-// must run to the right answers.
+// must return the exact answer set of the published corpus at a frozen
+// message cost, and richer plan shapes — filter-pushdown keyword joins,
+// TopK over fetched columns, aggregates — must run to the right answers.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -42,7 +41,7 @@ const Schema& ItemSchema() {
 }
 
 struct Cluster {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<dht::DhtDeployment> dht;
   PierMetrics metrics;
@@ -52,9 +51,9 @@ struct Cluster {
     network = std::make_unique<sim::Network>(
         &simulator,
         std::make_unique<sim::ConstantLatency>(5 * sim::kMillisecond), 31);
-    // This suite asserts exact message parity between two back-to-back
-    // engine runs; pin the classic routing path so the owner location
-    // cache (warmed by the first run) cannot skew the second.
+    // This suite asserts exact message counts; pin the classic routing
+    // path so the owner location cache (warmed by the corpus publish)
+    // cannot skew them.
     dht::DhtOptions dopts;
     dopts.routing_policy = dht::RoutingPolicyKind::kClassicChord;
     dht = std::make_unique<dht::DhtDeployment>(network.get(), n, dopts, 777);
@@ -67,7 +66,8 @@ struct Cluster {
     std::vector<Tuple> out;
     bool done = false;
     piers[2]->ExecutePlan(std::move(plan), [&](Status s,
-                                               std::vector<Tuple> rows) {
+                                               std::vector<Tuple> rows,
+                                               const Completeness&) {
       done = true;
       if (status) *status = s;
       else EXPECT_TRUE(s.ok()) << s.ToString();
@@ -102,34 +102,12 @@ void PublishCorpus(Cluster* c) {
   c->simulator.Run();
 }
 
-DistributedJoin LegacyTwoStage() {
-  DistributedJoin join;
-  for (const char* kw : {"madonna", "prayer"}) {
-    JoinStage stage;
-    stage.ns = "inverted";
-    stage.key = Value(std::string(kw));
-    join.stages.push_back(std::move(stage));
-  }
-  return join;
-}
-
-TEST(PlanExecTest, PlanChainMatchesExecuteJoinAnswersAndMessages) {
+TEST(PlanExecTest, PlanChainReturnsCorpusIntersectionAtFrozenCost) {
   Cluster c(24);
   PublishCorpus(&c);
 
   uint64_t msgs_before = c.network->metrics().total.messages;
   uint64_t stage_before = c.metrics.join_stage_messages;
-  std::set<uint64_t> legacy;
-  c.piers[2]->ExecuteJoin(LegacyTwoStage(), [&](Status s, auto entries) {
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    for (const auto& e : entries) legacy.insert(e.join_key.AsUint64());
-  });
-  c.simulator.Run();
-  uint64_t legacy_msgs = c.network->metrics().total.messages - msgs_before;
-  uint64_t legacy_stages = c.metrics.join_stage_messages - stage_before;
-
-  msgs_before = c.network->metrics().total.messages;
-  stage_before = c.metrics.join_stage_messages;
   QueryPlan plan = PlanBuilder()
                        .IndexScan("inverted", Value("madonna"))
                        .RehashJoin("inverted", Value("prayer"))
@@ -142,11 +120,15 @@ TEST(PlanExecTest, PlanChainMatchesExecuteJoinAnswersAndMessages) {
   uint64_t plan_msgs = c.network->metrics().total.messages - msgs_before;
   uint64_t plan_stages = c.metrics.join_stage_messages - stage_before;
 
-  EXPECT_EQ(via_plan, legacy);
-  EXPECT_EQ(via_plan.size(), 50u);
-  // Identical transport: same staged engine underneath.
-  EXPECT_EQ(plan_stages, legacy_stages);
-  EXPECT_EQ(plan_msgs, legacy_msgs);
+  // Ground truth from the corpus: madonna ∩ prayer = fileIDs 0..49.
+  std::set<uint64_t> expect;
+  for (uint64_t f = 0; f < 50; ++f) expect.insert(f);
+  EXPECT_EQ(via_plan, expect);
+  // The two-keyword chain's transport cost, as recorded when a hardwired
+  // join-chain entry point ran beside ExecutePlan and matched it exactly:
+  // 2 routed stage messages, 7 network messages in all.
+  EXPECT_EQ(plan_stages, 2u);
+  EXPECT_EQ(plan_msgs, 7u);
   EXPECT_EQ(c.metrics.plans_executed, 1u);
   EXPECT_EQ(c.metrics.tuples_dropped_deserialize, 0u);
 }
@@ -154,8 +136,8 @@ TEST(PlanExecTest, PlanChainMatchesExecuteJoinAnswersAndMessages) {
 TEST(PlanExecTest, FilterPushdownJoinWithTopKOverFetchedColumn) {
   // The new expressiveness: keep only "live" tracks (substring filter
   // pushed down to the cache owner), join with "prayer", resolve Item
-  // tuples and return the 5 largest by file size. Inexpressible through
-  // ExecuteJoin + SearchEngine (no TopK, no post-fetch predicates).
+  // tuples and return the 5 largest by file size (a TopK and a post-fetch
+  // ordering the search strategies cannot express).
   Cluster c(24);
   PublishCorpus(&c);
   QueryPlan plan = PlanBuilder()

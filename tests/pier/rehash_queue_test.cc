@@ -21,7 +21,7 @@ const Schema& InvSchema() {
 }
 
 struct Cluster {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<dht::DhtDeployment> dht;
   PierMetrics metrics;
@@ -54,7 +54,7 @@ TEST(RehashQueueTest, CoalescesAcrossCalls) {
   // Fixed-bound policy: the adaptive threshold would ship an eager batch
   // mid-stream; this test pins the pure cross-call coalescing behavior.
   BatchOptions fixed;
-  fixed.adaptive_flush = false;
+  fixed.min_batch_tuples = fixed.max_batch_tuples;
   c.piers[0]->set_batch_options(fixed);
   // 30 calls of one tuple each, all to the same keyword — the QRS snoop
   // shape. The standing queue must merge them into ONE PutBatch message.
@@ -234,7 +234,7 @@ TEST(AdaptiveFlushTest, CeilingConstantsStillBound) {
 TEST(AdaptiveFlushTest, AdaptiveAndFixedStoreIdenticalState) {
   Cluster adaptive(16), fixed(16);
   BatchOptions fopts;
-  fopts.adaptive_flush = false;
+  fopts.min_batch_tuples = fopts.max_batch_tuples;  // the fixed bound
   fixed.piers[0]->set_batch_options(fopts);
   for (Cluster* c : {&adaptive, &fixed}) {
     for (uint64_t f = 0; f < 120; ++f) {

@@ -15,6 +15,7 @@
 #include "common/stats.h"
 #include "dht/builder.h"
 #include "pier/node.h"
+#include "pier/plan.h"
 #include "sim/fault.h"
 
 namespace pierstack::pier {
@@ -41,7 +42,7 @@ dht::Key RingKeyFor(const std::string& ns, const Value& key) {
 }
 
 struct Cluster {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   sim::FaultPlan faults{99};
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<dht::DhtDeployment> dht;
@@ -56,6 +57,13 @@ struct Cluster {
     dht::DhtOptions dopts;
     dopts.replication = 3;
     dopts.maintenance = true;
+    // The scenarios crash or slow the owner a query talks to directly: a
+    // stage message lost in flight to its owner, a fetch leg whose probed
+    // next hop IS the straggling owner. The owner-direct path needs the
+    // location cache, so pin the default policy; under the classic leg's
+    // ring walk an intermediate hop reroutes around the crash before the
+    // query plane ever sees it.
+    dopts.routing_policy = dht::RoutingPolicyKind::kCongestionAware;
     dht = std::make_unique<dht::DhtDeployment>(network.get(), n, dopts, 777);
     for (size_t i = 0; i < n; ++i) {
       piers.push_back(std::make_unique<PierNode>(dht->node(i), &metrics));
@@ -87,13 +95,8 @@ struct Cluster {
   }
 };
 
-DistributedJoin OneStage(const std::string& kw) {
-  DistributedJoin join;
-  JoinStage stage;
-  stage.ns = "inverted";
-  stage.key = Value(kw);
-  join.stages.push_back(std::move(stage));
-  return join;
+QueryPlan OneStage(const std::string& kw) {
+  return PlanBuilder().IndexScan("inverted", Value(kw)).Build();
 }
 
 /// One observed query resolution: everything the callback delivered.
@@ -105,14 +108,14 @@ struct Outcome {
   sim::SimTime fired_at = 0;
 };
 
-PierNode::JoinCallback JoinCallbackOf(Cluster* c, Outcome* out) {
-  return [c, out](Status s, std::vector<JoinResultEntry> entries,
+PierNode::PlanCallback PlanCallbackOf(Cluster* c, Outcome* out) {
+  return [c, out](Status s, std::vector<Tuple> rows,
                   const Completeness& completeness) {
     out->fired = true;
     out->fired_at = c->simulator.now();
     out->status = std::move(s);
     out->completeness = completeness;
-    for (const auto& e : entries) out->ids.insert(e.join_key.AsUint64());
+    for (const Tuple& r : rows) out->ids.insert(r.at(0).AsUint64());
   };
 }
 
@@ -126,12 +129,13 @@ TEST(RobustnessTest, FailoverRecoversFullAnswerAfterStage0OwnerCrash) {
   size_t origin = c.SurvivorIndex(owner);
 
   Outcome got;
-  c.piers[origin]->ExecuteJoin(OneStage("alpha"), JoinCallbackOf(&c, &got),
+  c.piers[origin]->ExecutePlan(OneStage("alpha"), PlanCallbackOf(&c, &got),
                                /*timeout=*/20 * sim::kSecond);
   // Crash the stage-0 owner while the stage message is on the wire: the
   // dispatched query loses its entire weight and only the no-progress
   // watchdog can bring it back.
-  c.simulator.ScheduleAfter(2 * sim::kMillisecond, [&] { owner->Crash(); });
+  c.simulator.ScheduleAfter(sim::kDriverHost, 2 * sim::kMillisecond,
+                            [&] { owner->Crash(); });
   c.simulator.RunFor(30 * sim::kSecond);
 
   ASSERT_TRUE(got.fired) << "join hung across the owner crash";
@@ -157,9 +161,10 @@ TEST(RobustnessTest, FailoverDisabledTimesOutWithLabeledPartial) {
   size_t origin = c.SurvivorIndex(owner);
 
   Outcome got;
-  c.piers[origin]->ExecuteJoin(OneStage("alpha"), JoinCallbackOf(&c, &got),
+  c.piers[origin]->ExecutePlan(OneStage("alpha"), PlanCallbackOf(&c, &got),
                                /*timeout=*/6 * sim::kSecond);
-  c.simulator.ScheduleAfter(2 * sim::kMillisecond, [&] { owner->Crash(); });
+  c.simulator.ScheduleAfter(sim::kDriverHost, 2 * sim::kMillisecond,
+                            [&] { owner->Crash(); });
   c.simulator.RunFor(20 * sim::kSecond);
 
   ASSERT_TRUE(got.fired);
@@ -287,7 +292,7 @@ TEST(RobustnessTest, AdmissionControlShedsUnderPressureAndAdmitsWhenIdle) {
   // Idle: the posting list dwarfs the pressure budget, but an idle owner
   // admits everything.
   Outcome idle;
-  c.piers[origin]->ExecuteJoin(OneStage("alpha"), JoinCallbackOf(&c, &idle),
+  c.piers[origin]->ExecutePlan(OneStage("alpha"), PlanCallbackOf(&c, &idle),
                                /*timeout=*/20 * sim::kSecond);
   c.simulator.RunFor(25 * sim::kSecond);
   ASSERT_TRUE(idle.fired);
@@ -301,16 +306,17 @@ TEST(RobustnessTest, AdmissionControlShedsUnderPressureAndAdmitsWhenIdle) {
   dht::Key pressure_key = RingKeyFor("inverted", Value("alpha"));
   size_t feeder = c.SurvivorIndex(owner);
   for (size_t i = 0; i < 4000; ++i) {
-    c.simulator.ScheduleAfter(i * 10 * sim::kMillisecond, [&c, feeder,
-                                                           pressure_key] {
-      c.dht->node(feeder)->Put("pressure", pressure_key, {0xA, 0xB}, 0,
-                               nullptr);
-    });
+    c.simulator.ScheduleAfter(
+        sim::kDriverHost, i * 10 * sim::kMillisecond,
+        [&c, feeder, pressure_key] {
+          c.dht->node(feeder)->Put("pressure", pressure_key, {0xA, 0xB}, 0,
+                                   nullptr);
+        });
   }
   c.simulator.RunFor(2 * sim::kSecond);  // reach steady-state pressure
 
   Outcome shed;
-  c.piers[origin]->ExecuteJoin(OneStage("alpha"), JoinCallbackOf(&c, &shed),
+  c.piers[origin]->ExecutePlan(OneStage("alpha"), PlanCallbackOf(&c, &shed),
                                /*timeout=*/30 * sim::kSecond);
   c.simulator.RunFor(40 * sim::kSecond);
 
@@ -354,19 +360,19 @@ TEST(RobustnessTest, PartialResultsCounterMatchesObservedPartials) {
 
   size_t origin = c.SurvivorIndex(alpha_owner);
   Outcome broken, healthy1, healthy2;
-  c.piers[origin]->ExecuteJoin(OneStage("alpha"), JoinCallbackOf(&c, &broken),
+  c.piers[origin]->ExecutePlan(OneStage("alpha"), PlanCallbackOf(&c, &broken),
                                /*timeout=*/5 * sim::kSecond);
-  c.piers[origin]->ExecuteJoin(OneStage(witness),
-                               JoinCallbackOf(&c, &healthy1),
+  c.piers[origin]->ExecutePlan(OneStage(witness),
+                               PlanCallbackOf(&c, &healthy1),
                                /*timeout=*/5 * sim::kSecond);
   // Crash alpha's owner while the stage dispatch is on the wire: with the
   // failover budget at zero, that query can only time out partial. The
   // witness owner is untouched.
-  c.simulator.ScheduleAfter(2 * sim::kMillisecond,
+  c.simulator.ScheduleAfter(sim::kDriverHost, 2 * sim::kMillisecond,
                             [&] { alpha_owner->Crash(); });
   c.simulator.RunFor(10 * sim::kSecond);
-  c.piers[origin]->ExecuteJoin(OneStage(witness),
-                               JoinCallbackOf(&c, &healthy2),
+  c.piers[origin]->ExecutePlan(OneStage(witness),
+                               PlanCallbackOf(&c, &healthy2),
                                /*timeout=*/5 * sim::kSecond);
   c.simulator.RunFor(10 * sim::kSecond);
 

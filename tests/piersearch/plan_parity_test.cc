@@ -1,13 +1,14 @@
 // The strategy-to-plan compilation contract: kDistributedJoin and
-// kInvertedCache searches now execute through PierNode::ExecutePlan, and
-// must return exactly the legacy ExecuteJoin path's answers at message
-// counts within 10% — plus the new SearchOptions::plan_rewrite hook and
-// the FetchItems deadline fix.
+// kInvertedCache searches execute through PierNode::ExecutePlan, and must
+// return exactly the corpus files matching the query at frozen message
+// counts — plus the SearchOptions::plan_rewrite hook and the FetchItems
+// deadline.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
 
+#include "common/tokenizer.h"
 #include "dht/builder.h"
 #include "piersearch/publisher.h"
 #include "piersearch/schemas.h"
@@ -17,7 +18,7 @@ namespace pierstack::piersearch {
 namespace {
 
 struct Cluster {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<dht::DhtDeployment> dht;
   pier::PierMetrics metrics;
@@ -27,9 +28,9 @@ struct Cluster {
     network = std::make_unique<sim::Network>(
         &simulator,
         std::make_unique<sim::ConstantLatency>(5 * sim::kMillisecond), 23);
-    // Message-parity suite: pin the classic routing path so the owner
-    // location cache (warmed by whichever strategy runs first) cannot
-    // skew the legacy-vs-plan message comparison.
+    // Message-count suite: pin the classic routing path so the owner
+    // location cache (warmed by whichever query runs first) cannot skew
+    // the frozen per-query message counts.
     dht::DhtOptions dopts;
     dopts.routing_policy = dht::RoutingPolicyKind::kClassicChord;
     dht = std::make_unique<dht::DhtDeployment>(network.get(), n, dopts, 321);
@@ -41,72 +42,35 @@ struct Cluster {
   pier::PierNode* pier(size_t i) { return piers[i].get(); }
 };
 
-void PublishCorpus(Cluster* c) {
+/// The parity corpus.
+const char* const kCorpus[] = {
+    "madonna like a prayer.mp3",  "madonna vogue.mp3",
+    "beatles let it be.mp3",      "beatles yesterday once more.mp3",
+    "pink floyd dark side moon.mp3", "rare basement tape zanzibar.mp3",
+};
+
+/// Publishes kCorpus; returns the fileIDs, index-aligned with it.
+std::vector<uint64_t> PublishCorpus(Cluster* c) {
   Publisher pub(c->pier(0));
   PublishOptions opts;
   opts.inverted = true;
   opts.inverted_cache = true;
-  const char* names[] = {
-      "madonna like a prayer.mp3",  "madonna vogue.mp3",
-      "beatles let it be.mp3",      "beatles yesterday once more.mp3",
-      "pink floyd dark side moon.mp3", "rare basement tape zanzibar.mp3",
-  };
-  uint64_t i = 0;
-  for (const char* name : names) {
-    pub.PublishFile(name, 1000 + i, static_cast<uint32_t>(100 + i), 6346,
-                    opts);
-    ++i;
+  std::vector<uint64_t> ids;
+  for (const char* name : kCorpus) {
+    uint32_t i = static_cast<uint32_t>(ids.size());
+    ids.push_back(pub.PublishFile(name, 1000 + i, 100 + i, 6346, opts));
   }
   c->simulator.Run();
+  return ids;
 }
 
-/// The legacy hardwired path, reconstructed exactly as the pre-plan
-/// SearchEngine built it: a DistributedJoin per strategy, ExecuteJoin, and
-/// FetchItems for the surviving fileIDs.
-std::set<uint64_t> LegacySearch(Cluster* c, size_t from,
-                                const std::vector<std::string>& terms,
-                                const SearchOptions& options) {
-  pier::DistributedJoin join;
-  join.limit = options.max_results;
-  if (options.strategy == SearchStrategy::kInvertedCache) {
-    pier::JoinStage stage;
-    stage.ns = InvertedCacheSchema().table_name();
-    stage.key = pier::Value(terms[0]);
-    stage.key_col = kIcKeyword;
-    stage.join_col = kIcFileId;
-    stage.payload_cols = {kIcFileId, kIcFulltext};
-    stage.filter_col = kIcFulltext;
-    stage.substring_filter.assign(terms.begin() + 1, terms.end());
-    join.stages.push_back(std::move(stage));
-  } else {
-    for (const auto& term : terms) {
-      pier::JoinStage stage;
-      stage.ns = InvertedSchema().table_name();
-      stage.key = pier::Value(term);
-      stage.key_col = kInvKeyword;
-      stage.join_col = kInvFileId;
-      join.stages.push_back(std::move(stage));
-    }
-  }
+/// Ground truth: the fileIDs of the corpus files matching every term.
+std::set<uint64_t> MatchingFiles(const std::vector<uint64_t>& corpus_ids,
+                                 const std::vector<std::string>& terms) {
   std::set<uint64_t> ids;
-  SearchEngine engine(c->pier(from));
-  c->pier(from)->ExecuteJoin(
-      std::move(join), [&](Status s, auto entries) {
-        ASSERT_TRUE(s.ok()) << s.ToString();
-        if (!options.fetch_items) {
-          for (const auto& e : entries) ids.insert(e.join_key.AsUint64());
-          return;
-        }
-        std::vector<uint64_t> file_ids;
-        for (const auto& e : entries) {
-          file_ids.push_back(e.join_key.AsUint64());
-        }
-        engine.FetchItems(file_ids, options, [&](Status fs, auto hits) {
-          ASSERT_TRUE(fs.ok()) << fs.ToString();
-          for (const auto& h : hits) ids.insert(h.file_id);
-        });
-      });
-  c->simulator.Run();
+  for (size_t i = 0; i < corpus_ids.size(); ++i) {
+    if (FilenameMatchesQuery(kCorpus[i], terms)) ids.insert(corpus_ids[i]);
+  }
   return ids;
 }
 
@@ -116,7 +80,8 @@ std::set<uint64_t> PlanSearch(Cluster* c, size_t from,
   SearchEngine engine(c->pier(from));
   std::set<uint64_t> ids;
   bool done = false;
-  engine.Search(query, options, [&](Status s, auto hits) {
+  engine.Search(query, options, [&](Status s, auto hits,
+                                    const pier::Completeness&) {
     done = true;
     EXPECT_TRUE(s.ok()) << s.ToString();
     for (const auto& h : hits) ids.insert(h.file_id);
@@ -126,17 +91,22 @@ std::set<uint64_t> PlanSearch(Cluster* c, size_t from,
   return ids;
 }
 
-TEST(PlanParityTest, BothStrategiesMatchLegacyAnswersAndMessageCounts) {
+TEST(PlanParityTest, BothStrategiesReturnMatchingFilesAtFrozenCost) {
   Cluster c(32);
-  PublishCorpus(&c);
+  std::vector<uint64_t> corpus_ids = PublishCorpus(&c);
   struct Case {
     const char* query;
     std::vector<std::string> terms;
+    /// Message cost per [strategy][fetch_items] (kDistributedJoin, then
+    /// kInvertedCache; without, then with the Item fetch), as recorded
+    /// when a hardwired join-chain path ran beside the compiled plans and
+    /// matched them exactly.
+    uint64_t messages[2][2];
   };
   const Case cases[] = {
-      {"madonna prayer", {"madonna", "prayer"}},
-      {"beatles", {"beatles"}},
-      {"dark side moon", {"dark", "side", "moon"}},
+      {"madonna prayer", {"madonna", "prayer"}, {{7, 9}, {4, 6}}},
+      {"beatles", {"beatles"}, {{4, 12}, {4, 12}}},
+      {"dark side moon", {"dark", "side", "moon"}, {{10, 13}, {4, 7}}},
   };
   for (SearchStrategy strategy :
        {SearchStrategy::kDistributedJoin, SearchStrategy::kInvertedCache}) {
@@ -147,20 +117,17 @@ TEST(PlanParityTest, BothStrategiesMatchLegacyAnswersAndMessageCounts) {
         options.fetch_items = fetch;
 
         uint64_t before = c.network->metrics().total.messages;
-        std::set<uint64_t> legacy = LegacySearch(&c, 4, tc.terms, options);
-        uint64_t legacy_msgs = c.network->metrics().total.messages - before;
-
-        before = c.network->metrics().total.messages;
         std::set<uint64_t> via_plan = PlanSearch(&c, 4, tc.query, options);
         uint64_t plan_msgs = c.network->metrics().total.messages - before;
 
-        EXPECT_EQ(via_plan, legacy)
+        std::set<uint64_t> expect = MatchingFiles(corpus_ids, tc.terms);
+        EXPECT_FALSE(expect.empty()) << tc.query;
+        EXPECT_EQ(via_plan, expect)
             << tc.query << " strategy=" << static_cast<int>(strategy);
-        EXPECT_FALSE(via_plan.empty()) << tc.query;
-        // Message parity: the plan path rides the same staged transport —
-        // within 10% of the hardwired path (it is equal in practice).
-        EXPECT_LE(plan_msgs * 10, legacy_msgs * 11) << tc.query;
-        EXPECT_LE(legacy_msgs * 10, plan_msgs * 11) << tc.query;
+        EXPECT_EQ(plan_msgs,
+                  tc.messages[static_cast<int>(strategy)][fetch ? 1 : 0])
+            << tc.query << " strategy=" << static_cast<int>(strategy)
+            << " fetch=" << fetch;
       }
     }
   }
@@ -186,7 +153,8 @@ TEST(PlanParityTest, OrderByPostingSizeRunsAsPlanRewrite) {
     so.order_by_posting_size = ordered;
     so.fetch_items = false;
     SearchEngine engine(c.pier(3));
-    engine.Search("popular gemstone", so, [&](Status s, auto hits) {
+    engine.Search("popular gemstone", so, [&](Status s, auto hits,
+                                              const pier::Completeness&) {
       ASSERT_TRUE(s.ok());
       EXPECT_EQ(hits.size(), 1u);
     });
@@ -244,7 +212,8 @@ TEST(PlanParityTest, FetchItemsHonorsQueryTimeout) {
   Status status = Status::OK();
   bool done = false;
   sim::SimTime finished = 0;
-  engine.FetchItems({id}, options, [&](Status s, auto hits) {
+  engine.FetchItems({id}, options, [&](Status s, auto hits,
+                                      const pier::Completeness&) {
     done = true;
     status = s;
     finished = c.simulator.now();

@@ -14,7 +14,7 @@ namespace pierstack::piersearch {
 namespace {
 
 struct Cluster {
-  sim::Simulator simulator;
+  sim::SerialExecutor simulator;
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<dht::DhtDeployment> dht;
   pier::PierMetrics metrics;
@@ -69,7 +69,8 @@ std::set<std::string> SearchNames(Cluster* c, size_t from,
   SearchEngine engine(c->pier(from));
   std::set<std::string> names;
   bool done = false;
-  engine.Search(query, opts, [&](Status s, std::vector<SearchHit> hits) {
+  engine.Search(query, opts, [&](Status s, std::vector<SearchHit> hits,
+                                 const pier::Completeness&) {
     done = true;
     EXPECT_TRUE(s.ok()) << s.ToString();
     for (const auto& h : hits) names.insert(h.filename);
@@ -123,7 +124,7 @@ TEST(PierSearchTest, StopWordOnlyQueryFails) {
   SearchEngine engine(c.pier(1));
   Status status = Status::OK();
   engine.Search("the mp3", SearchOptions{},
-                [&](Status s, auto) { status = s; });
+                [&](Status s, auto, const pier::Completeness&) { status = s; });
   c.simulator.Run();
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
@@ -133,7 +134,8 @@ TEST(PierSearchTest, ResultsCarryItemFields) {
   PublishCorpus(&c, Corpus{}, BothIndexes());
   SearchEngine engine(c.pier(4));
   std::vector<SearchHit> hits;
-  engine.Search("zanzibar", SearchOptions{}, [&](Status s, auto h) {
+  engine.Search("zanzibar", SearchOptions{}, [&](Status s, auto h,
+                                                 const pier::Completeness&) {
     ASSERT_TRUE(s.ok());
     hits = std::move(h);
   });
@@ -194,7 +196,8 @@ TEST(PierSearchTest, OrderByPostingSizeShipsFewerEntries) {
     // "gemstone popular": gemstone list has 1 entry, popular has 201.
     SearchEngine engine(c.pier(3));
     bool done = false;
-    engine.Search("popular gemstone", so, [&](Status s, auto hits) {
+    engine.Search("popular gemstone", so, [&](Status s, auto hits,
+                                              const pier::Completeness&) {
       done = true;
       ASSERT_TRUE(s.ok());
       EXPECT_EQ(hits.size(), 1u);
@@ -222,7 +225,8 @@ TEST(PierSearchTest, MaxResultsCaps) {
   so.max_results = 5;
   SearchEngine engine(c.pier(2));
   size_t got = 0;
-  engine.Search("flood song", so, [&](Status s, auto hits) {
+  engine.Search("flood song", so, [&](Status s, auto hits,
+                                      const pier::Completeness&) {
     ASSERT_TRUE(s.ok());
     got = hits.size();
   });
@@ -277,10 +281,11 @@ TEST(PierSearchTest, AnswerFetchCostsOneRoutedGetPerOwner) {
   uint64_t before = c.dht->metrics().multi_gets;
   SearchEngine engine(c.pier(3));
   size_t got = 0;
-  engine.Search("shared album", SearchOptions{}, [&](Status s, auto hits) {
-    ASSERT_TRUE(s.ok());
-    got = hits.size();
-  });
+  engine.Search("shared album", SearchOptions{},
+                [&](Status s, auto hits, const pier::Completeness&) {
+                  ASSERT_TRUE(s.ok());
+                  got = hits.size();
+                });
   c.simulator.Run();
   EXPECT_EQ(got, ids.size());
   EXPECT_EQ(c.dht->metrics().multi_gets - before, owners.size());
@@ -303,7 +308,8 @@ TEST(PierSearchTest, FetchItemsDedupesBeforeTruncating) {
   SearchOptions opts;
   opts.max_results = 2;
   std::set<uint64_t> got;
-  engine.FetchItems({1, 1, 1, 2}, opts, [&](Status s, auto hits) {
+  engine.FetchItems({1, 1, 1, 2}, opts, [&](Status s, auto hits,
+                                            const pier::Completeness&) {
     ASSERT_TRUE(s.ok());
     for (const auto& h : hits) got.insert(h.file_id);
   });

@@ -1,12 +1,14 @@
-// Executor seam backends: SerialExecutor's canonical (time, origin,
-// origin_seq) ordering, ShardedExecutor's barrier-epoch equivalence to it,
-// and MakeEnvExecutor's env-driven backend selection.
+// Executor seam backends: the scheduling/cancel contract both backends
+// honor, SerialExecutor's canonical (time, origin, origin_seq) ordering,
+// ShardedExecutor's barrier-epoch equivalence to it, and MakeEnvExecutor's
+// env-driven backend selection.
 #include "sim/executor.h"
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -23,6 +25,161 @@ uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   return x ^ (x >> 31);
 }
+
+// --- The Executor contract, on both backends --------------------------------
+
+/// Runs each case on the serial reference and on a 4-shard
+/// ShardedExecutor. Events sit on one host, spaced at least a lookahead
+/// apart, so the sharded backend's epoch-granular Run(limit) counts
+/// exactly like the serial one.
+class ExecutorContractTest : public ::testing::TestWithParam<uint32_t> {
+ protected:
+  static constexpr HostId kHost = 1;
+
+  std::unique_ptr<Executor> Make() const {
+    if (GetParam() <= 1) return std::make_unique<SerialExecutor>();
+    return std::make_unique<ShardedExecutor>(
+        ShardedExecutor::Options{GetParam(), kMillisecond});
+  }
+};
+
+TEST_P(ExecutorContractTest, RunsEventsInTimeOrder) {
+  auto ex = Make();
+  std::vector<int> order;
+  ex->ScheduleAt(kHost, 30 * kMillisecond, [&] { order.push_back(3); });
+  ex->ScheduleAt(kHost, 10 * kMillisecond, [&] { order.push_back(1); });
+  ex->ScheduleAt(kHost, 20 * kMillisecond, [&] { order.push_back(2); });
+  EXPECT_EQ(ex->Run(), 3u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(ex->now(), 30 * kMillisecond);
+}
+
+TEST_P(ExecutorContractTest, ScheduleAfterIsRelativeToTheHandlersTime) {
+  auto ex = Make();
+  SimTime seen = 0;
+  ex->ScheduleAt(kHost, 100 * kMillisecond, [&] {
+    ex->ScheduleAfter(kHost, 50 * kMillisecond, [&] { seen = ex->now(); });
+  });
+  ex->Run();
+  EXPECT_EQ(seen, 150 * kMillisecond);
+}
+
+TEST_P(ExecutorContractTest, EventsCanScheduleMoreEvents) {
+  auto ex = Make();
+  int count = 0;
+  std::function<void()> chain = [&] {
+    if (++count < 10) ex->ScheduleAfter(kHost, kMillisecond, chain);
+  };
+  ex->ScheduleAt(kHost, 0, chain);
+  ex->Run();
+  EXPECT_EQ(count, 10);
+  EXPECT_EQ(ex->now(), 9 * kMillisecond);
+}
+
+TEST_P(ExecutorContractTest, RunUntilStopsAtBoundaryAndAdvancesClock) {
+  auto ex = Make();
+  std::vector<SimTime> fired;
+  for (SimTime t : {10, 20, 30, 40}) {
+    ex->ScheduleAt(kHost, t * kMillisecond,
+                   [&fired, t] { fired.push_back(t); });
+  }
+  EXPECT_EQ(ex->RunUntil(25 * kMillisecond), 2u);
+  EXPECT_EQ(fired, (std::vector<SimTime>{10, 20}));
+  EXPECT_EQ(ex->now(), 25 * kMillisecond);
+  EXPECT_EQ(ex->RunUntil(100 * kMillisecond), 2u);
+  EXPECT_EQ(fired.size(), 4u);
+  EXPECT_EQ(ex->now(), 100 * kMillisecond);
+}
+
+TEST_P(ExecutorContractTest, RunUntilIncludesBoundaryEvents) {
+  auto ex = Make();
+  bool ran = false;
+  ex->ScheduleAt(kHost, 25 * kMillisecond, [&] { ran = true; });
+  ex->RunUntil(25 * kMillisecond);
+  EXPECT_TRUE(ran);
+}
+
+TEST_P(ExecutorContractTest, RunForIsRelative) {
+  auto ex = Make();
+  ex->ScheduleAt(kHost, 5 * kMillisecond, [] {});
+  ex->RunUntil(10 * kMillisecond);
+  int count = 0;
+  ex->ScheduleAfter(kHost, 5 * kMillisecond, [&] { ++count; });
+  ex->ScheduleAfter(kHost, 15 * kMillisecond, [&] { ++count; });
+  ex->RunFor(10 * kMillisecond);
+  EXPECT_EQ(count, 1);
+  EXPECT_EQ(ex->now(), 20 * kMillisecond);
+}
+
+TEST_P(ExecutorContractTest, RunWithLimitStopsEarly) {
+  auto ex = Make();
+  int count = 0;
+  for (SimTime i = 1; i <= 10; ++i) {
+    ex->ScheduleAt(kHost, i * kMillisecond, [&] { ++count; });
+  }
+  EXPECT_EQ(ex->Run(3), 3u);
+  EXPECT_EQ(count, 3);
+  EXPECT_EQ(ex->pending(), 7u);
+  EXPECT_EQ(ex->Run(1), 1u);
+  EXPECT_EQ(ex->pending(), 6u);
+}
+
+TEST_P(ExecutorContractTest, ExecutedCountSkipsCancelledEvents) {
+  auto ex = Make();
+  ex->ScheduleAt(kHost, 1 * kMillisecond, [] {});
+  ex->ScheduleAt(kHost, 2 * kMillisecond, [] {});
+  EventId id = ex->ScheduleAt(kHost, 3 * kMillisecond, [] {});
+  EXPECT_TRUE(ex->Cancel(id));
+  EXPECT_EQ(ex->pending(), 2u);
+  ex->Run();
+  EXPECT_EQ(ex->events_executed(), 2u);
+  EXPECT_EQ(ex->pending(), 0u);
+}
+
+TEST_P(ExecutorContractTest, CancelledEventDoesNotAdvanceClock) {
+  auto ex = Make();
+  EventId id = ex->ScheduleAt(kHost, 50 * kMillisecond, [] {});
+  ex->ScheduleAt(kHost, 10 * kMillisecond, [] {});
+  EXPECT_TRUE(ex->Cancel(id));
+  ex->Run();
+  EXPECT_EQ(ex->now(), 10 * kMillisecond);
+}
+
+TEST_P(ExecutorContractTest, CancelAfterRunFailsAndKeepsPendingExact) {
+  auto ex = Make();
+  bool later_ran = false;
+  EventId done = ex->ScheduleAt(kHost, 1 * kMillisecond, [] {});
+  ex->ScheduleAt(kHost, 5 * kMillisecond, [&] { later_ran = true; });
+  ex->RunUntil(2 * kMillisecond);
+  // The first event already ran: nothing to cancel, and the still-queued
+  // second event must keep counting as pending.
+  EXPECT_FALSE(ex->Cancel(done));
+  EXPECT_EQ(ex->pending(), 1u);
+  EXPECT_EQ(ex->Run(), 1u);
+  EXPECT_TRUE(later_ran);
+  EXPECT_EQ(ex->events_executed(), 2u);
+}
+
+TEST_P(ExecutorContractTest, CancelOfUnknownIdFails) {
+  auto ex = Make();
+  EventId issued = ex->ScheduleAt(kHost, kMillisecond, [] {});
+  EXPECT_FALSE(ex->Cancel(kInvalidEventId));
+  EXPECT_FALSE(ex->Cancel(9999));
+  EXPECT_FALSE(ex->Cancel(issued + (EventId{1} << 20)));
+  EXPECT_EQ(ex->pending(), 1u);
+  EXPECT_TRUE(ex->Cancel(issued));
+  EXPECT_FALSE(ex->Cancel(issued));
+  EXPECT_EQ(ex->pending(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, ExecutorContractTest, ::testing::Values(1u, 4u),
+    [](const ::testing::TestParamInfo<uint32_t>& info) {
+      return info.param <= 1 ? std::string("Serial")
+                             : "Sharded" + std::to_string(info.param);
+    });
+
+// --- SerialExecutor's canonical order ---------------------------------------
 
 TEST(SerialExecutorTest, DriverScheduledEqualTimeRunsFifo) {
   SerialExecutor ex;

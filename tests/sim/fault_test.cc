@@ -30,7 +30,7 @@ Message Msg(const std::string& text) {
 
 class FaultTest : public ::testing::Test {
  protected:
-  Simulator sim;
+  SerialExecutor sim;
 };
 
 TEST_F(FaultTest, CertainLossDropsInFlightSilently) {
@@ -127,7 +127,7 @@ TEST_F(FaultTest, LatencySpikeDelaysDelivery) {
 
 TEST_F(FaultTest, FaultDecisionsAreDeterministicUnderSeed) {
   auto run = [this](uint64_t seed) {
-    Simulator local;
+    SerialExecutor local;
     Network net(&local, std::make_unique<ConstantLatency>(kMillisecond), 1);
     FaultPlan plan(seed);
     plan.set_message_loss(0.3);
@@ -150,7 +150,7 @@ TEST_F(FaultTest, FaultRandomnessDoesNotPerturbLatencyStream) {
   // identical with and without an (all-loss-disabled) plan attached,
   // because fault decisions draw from the plan's own Rng.
   auto deliveries = [](bool with_plan) {
-    Simulator local;
+    SerialExecutor local;
     Network net(&local,
                 std::make_unique<UniformLatency>(kMillisecond, 20 * kMillisecond),
                 99);
@@ -161,7 +161,7 @@ TEST_F(FaultTest, FaultRandomnessDoesNotPerturbLatencyStream) {
     HostId hb = net.AddHost(&b);
     std::vector<SimTime> times;
     for (int i = 0; i < 50; ++i) net.Send(ha, hb, Msg("x"));
-    while (local.Step()) times.push_back(local.now());
+    while (local.Run(1) == 1) times.push_back(local.now());
     return times;
   };
   EXPECT_EQ(deliveries(false), deliveries(true));
@@ -182,10 +182,12 @@ TEST_F(FaultTest, FailSlowWindowDelaysOnlyInWindowSends) {
   net.Send(ha, hb, Msg("early"));
   // Sent inside the window: slowed, even though it ARRIVES after the
   // window would close for sends (decision keys on send time only).
-  sim.ScheduleAt(kSecond, [&] { net.Send(ha, hb, Msg("slowed")); });
+  sim.ScheduleAt(kDriverHost, kSecond,
+                 [&] { net.Send(ha, hb, Msg("slowed")); });
   // Sent after the window: normal again.
-  sim.ScheduleAt(2 * kSecond, [&] { net.Send(ha, hb, Msg("late")); });
-  while (sim.Step()) {
+  sim.ScheduleAt(kDriverHost, 2 * kSecond,
+                 [&] { net.Send(ha, hb, Msg("late")); });
+  while (sim.Run(1) == 1) {
     if (arrivals.size() < b.received.size()) arrivals.push_back(sim.now());
   }
 
@@ -322,8 +324,10 @@ TEST_F(FaultTest, PartitionWindowDropsOnlyInsideItsSchedule) {
   // Before the window opens, inside it, and at/after the heal time —
   // keyed purely on SEND time, so the schedule is backend-deterministic.
   net.Send(ha, hb, Msg("before"));
-  sim.ScheduleAt(500 * kMillisecond, [&] { net.Send(ha, hb, Msg("split")); });
-  sim.ScheduleAt(kSecond, [&] { net.Send(ha, hb, Msg("healed")); });
+  sim.ScheduleAt(kDriverHost, 500 * kMillisecond,
+                 [&] { net.Send(ha, hb, Msg("split")); });
+  sim.ScheduleAt(kDriverHost, kSecond,
+                 [&] { net.Send(ha, hb, Msg("healed")); });
   sim.Run();
 
   ASSERT_EQ(b.received.size(), 2u);

@@ -24,7 +24,7 @@ class Recorder : public Host {
 
 class NetworkTest : public ::testing::Test {
  protected:
-  Simulator sim;
+  SerialExecutor sim;
 };
 
 TEST_F(NetworkTest, DeliversWithConstantLatency) {
@@ -100,7 +100,8 @@ TEST_F(NetworkTest, HostGoingDownMidFlightDropsDelivery) {
   HostId ha = net.AddHost(&a);
   HostId hb = net.AddHost(&b);
   net.Send(ha, hb, Message::Make<Payload>(1, "x", 10, Payload{"late"}));
-  sim.ScheduleAt(1 * kMillisecond, [&] { net.SetHostUp(hb, false); });
+  sim.ScheduleAt(kDriverHost, 1 * kMillisecond,
+                 [&] { net.SetHostUp(hb, false); });
   sim.Run();
   EXPECT_TRUE(b.received.empty());
   EXPECT_EQ(net.metrics().dropped_messages, 1u);
@@ -185,7 +186,8 @@ TEST_F(NetworkTest, InFlightSettlesEvenWhenHostDiesMidFlight) {
   HostId ha = net.AddHost(&a);
   HostId hb = net.AddHost(&b);
   net.Send(ha, hb, Message::Make<Payload>(1, "x", 64, Payload{"doomed"}));
-  sim.ScheduleAt(1 * kMillisecond, [&] { net.SetHostUp(hb, false); });
+  sim.ScheduleAt(kDriverHost, 1 * kMillisecond,
+                 [&] { net.SetHostUp(hb, false); });
   sim.Run();
   EXPECT_EQ(net.LoadOf(hb).in_flight_messages, 0u);
   EXPECT_EQ(net.LoadOf(hb).in_flight_bytes, 0u);
