@@ -7,6 +7,7 @@
 // the share of queries re-issued into the DHT (the PIER query load).
 //
 //   ./build/bench/ablation_timeout [scale]
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 
@@ -62,8 +63,12 @@ int main(int argc, char** argv) {
         static_cast<sim::SimTime>(timeout_s * sim::kSecond);
     std::vector<std::unique_ptr<pier::PierNode>> piers;
     std::vector<std::unique_ptr<hybrid::HybridUltrapeer>> hybrids;
+    // One hybrid per DHT node, but small scales have fewer than 50
+    // ultrapeers to host them.
+    size_t num_hybrids = std::min<size_t>(50, gnet.num_ultrapeers());
     for (size_t i = 0; i < 50; ++i) {
       piers.push_back(std::make_unique<pier::PierNode>(dht.node(i), &pm));
+      if (i >= num_hybrids) continue;
       hybrids.push_back(std::make_unique<hybrid::HybridUltrapeer>(
           gnet.ultrapeer(i), piers[i].get(), hc));
     }
@@ -87,10 +92,10 @@ int main(int argc, char** argv) {
       ++tested;
       sim::SimTime start = simulator.now();
       auto first = std::make_shared<sim::SimTime>(0);
-      hybrids[tested % 50]->Query(trace.queries[q].text,
-                                  [first](const hybrid::HybridHit& h) {
-                                    if (*first == 0) *first = h.arrival;
-                                  });
+      hybrids[tested % num_hybrids]->Query(
+          trace.queries[q].text, [first](const hybrid::HybridHit& h) {
+            if (*first == 0) *first = h.arrival;
+          });
       simulator.Run();
       if (*first > 0) {
         ++answered;

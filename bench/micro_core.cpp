@@ -2,12 +2,13 @@
 // RNG, Zipf sampling, tuple serialization, the symmetric hash join and
 // next-hop selection in both overlays.
 //
-// The *_Legacy / *_PerTuple benches replicate the pre-batching tuple
-// pipeline (deep-copied std::string values, one Deserialize call and one
-// buffer per tuple, one routed message per published tuple) so every run
-// reports the batching speedup against the path it replaced. See
-// bench/README.md; scripts/run_bench.sh records the ratios in
-// BENCH_core.json.
+// The *_Legacy / *_PerTuple benches replicate the pre-batching tuple codec
+// (deep-copied std::string values, one Deserialize call and one buffer per
+// tuple) so every run reports the batching speedup against the path it
+// replaced. The network benches measure the one publish path (standing
+// rehash queues) and the one fetch path (owner-coalesced FetchMany)
+// against absolute ceilings. See bench/README.md; scripts/run_bench.sh
+// records the ratios and counters in BENCH_core.json.
 //
 //   ./build/micro_core
 #include <benchmark/benchmark.h>
@@ -408,93 +409,11 @@ struct BenchCluster {
   }
 };
 
-/// Seed-style per-tuple publish of one file — one routed Put per tuple —
-/// the baseline both network benches compare the coalesced pipeline
-/// against (Publisher::PublishFile now rides the standing rehash queues,
-/// so it cannot serve as the baseline itself).
-static void PublishPerTuple(pier::PierNode* pier,
-                            const piersearch::FileToPublish& f) {
-  uint64_t file_id = FileId(f.filename, f.size_bytes, f.address);
-  pier->Publish(piersearch::ItemSchema(),
-                pier::Tuple({pier::Value(file_id), pier::Value(f.filename),
-                             pier::Value(f.size_bytes),
-                             pier::Value(uint64_t{f.address}),
-                             pier::Value(uint64_t{f.port})}));
-  for (const auto& kw : ExtractUniqueKeywords(f.filename)) {
-    pier->Publish(piersearch::InvertedSchema(),
-                  pier::Tuple({pier::Value(kw), pier::Value(file_id)}));
-  }
-}
-
-// End-to-end join chain over a real DHT cluster: publish a library, run
-// two-keyword searches, and report network cost alongside throughput. The
-// PerTuple variant publishes with one routed message per tuple (the seed
-// path); Batched uses the coalesced PublishFiles pipeline. Both run the
-// same queries and are expected to return identical result counts.
-static void JoinChainRun(benchmark::State& state, bool batched) {
-  const size_t kFiles = 400, kNodes = 16, kQueries = 25;
-  uint64_t net_messages = 0, net_bytes = 0, results = 0;
-  for (auto _ : state) {
-    BenchCluster c(kNodes);
-    auto& simulator = c.simulator;
-    auto& network = c.network;
-    auto& piers = c.piers;
-    piersearch::Publisher publisher(piers[0].get());
-    piersearch::PublishOptions popts;
-    std::vector<piersearch::FileToPublish> files;
-    for (size_t i = 0; i < kFiles; ++i) {
-      files.push_back(piersearch::FileToPublish{
-          "artist" + std::to_string(i % 20) + " album" +
-              std::to_string(i % 50) + " track" + std::to_string(i) + ".mp3",
-          1 << 20, static_cast<uint32_t>(i % kNodes), 6346});
-    }
-    if (batched) {
-      publisher.PublishFiles(files, popts);
-      piers[0]->FlushPublishQueues();
-    } else {
-      for (const auto& f : files) PublishPerTuple(piers[0].get(), f);
-    }
-    simulator.Run();
-    piersearch::SearchEngine engine(piers[1].get());
-    piersearch::SearchOptions sopts;
-    sopts.fetch_items = false;
-    for (size_t q = 0; q < kQueries; ++q) {
-      std::string query = "artist" + std::to_string(q % 20) + " album" +
-                          std::to_string(q % 50);
-      engine.Search(query, sopts,
-                    [&](Status s, auto hits, const pier::Completeness&) {
-                      if (s.ok()) results += hits.size();
-                    });
-    }
-    simulator.Run();
-    net_messages += network.metrics().total.messages;
-    net_bytes += network.metrics().total.bytes;
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(kQueries));
-  auto per_iter = [&](uint64_t v) {
-    return static_cast<double>(v) / static_cast<double>(state.iterations());
-  };
-  state.counters["net_messages"] = per_iter(net_messages);
-  state.counters["net_bytes"] = per_iter(net_bytes);
-  state.counters["results"] = per_iter(results);
-}
-
-static void BM_JoinChain_PerTuplePublish(benchmark::State& state) {
-  JoinChainRun(state, /*batched=*/false);
-}
-BENCHMARK(BM_JoinChain_PerTuplePublish)->Unit(benchmark::kMillisecond);
-
-static void BM_JoinChain_BatchedPublish(benchmark::State& state) {
-  JoinChainRun(state, /*batched=*/true);
-}
-BENCHMARK(BM_JoinChain_BatchedPublish)->Unit(benchmark::kMillisecond);
-
-// Answer-fetch path: resolve a published answer set's Item tuples. The
-// PerResult variant issues one GetBatch round-trip per fileID (the seed
-// path of SearchEngine::FetchItems); OwnerCoalesced groups the ids by
-// resolved owner with one MultiGet scatter (FetchMany), costing one routed
-// get per owner. Identical tuples fetched, a fraction of the messages.
-static void FetchItemsRun(benchmark::State& state, bool coalesced) {
+// Answer-fetch path: resolve a published answer set's Item tuples. The ids
+// are grouped by resolved owner into one MultiGet scatter (FetchMany),
+// costing one routed get per owner. run_bench.sh gates net_messages <= 308
+// with all 192 items fetched.
+static void BM_FetchItems_OwnerCoalesced(benchmark::State& state) {
   const size_t kItems = 192, kNodes = 16;
   uint64_t net_messages = 0, net_bytes = 0, fetched = 0;
   for (auto _ : state) {
@@ -516,23 +435,13 @@ static void FetchItemsRun(benchmark::State& state, bool coalesced) {
     simulator.Run();
     uint64_t base_msgs = network.metrics().total.messages;
     uint64_t base_bytes = network.metrics().total.bytes;
-    if (coalesced) {
-      std::vector<pier::Value> keys;
-      for (uint64_t id : ids) keys.emplace_back(pier::Value(id));
-      piers[1]->FetchMany(piersearch::ItemSchema(), std::move(keys),
-                          [&](Status s, std::vector<pier::Tuple> tuples,
-                              const pier::Completeness&) {
-                            if (s.ok()) fetched += tuples.size();
-                          });
-    } else {
-      for (uint64_t id : ids) {
-        piers[1]->Fetch(piersearch::ItemSchema(), pier::Value(id),
+    std::vector<pier::Value> keys;
+    for (uint64_t id : ids) keys.emplace_back(pier::Value(id));
+    piers[1]->FetchMany(piersearch::ItemSchema(), std::move(keys),
                         [&](Status s, std::vector<pier::Tuple> tuples,
                             const pier::Completeness&) {
                           if (s.ok()) fetched += tuples.size();
                         });
-      }
-    }
     simulator.Run();
     net_messages += network.metrics().total.messages - base_msgs;
     net_bytes += network.metrics().total.bytes - base_bytes;
@@ -545,23 +454,14 @@ static void FetchItemsRun(benchmark::State& state, bool coalesced) {
   state.counters["net_bytes"] = per_iter(net_bytes);
   state.counters["fetched"] = per_iter(fetched);
 }
-
-static void BM_FetchItems_PerResult(benchmark::State& state) {
-  FetchItemsRun(state, /*coalesced=*/false);
-}
-BENCHMARK(BM_FetchItems_PerResult)->Unit(benchmark::kMillisecond);
-
-static void BM_FetchItems_OwnerCoalesced(benchmark::State& state) {
-  FetchItemsRun(state, /*coalesced=*/true);
-}
 BENCHMARK(BM_FetchItems_OwnerCoalesced)->Unit(benchmark::kMillisecond);
 
 // Publish path under call-at-a-time workloads (the QRS snoop shape: one
-// file per upcall). PerTupleCalls replicates the seed path — every tuple
-// its own routed Put. StandingQueues publishes the same files one call at
-// a time through the rehash queues, which coalesce ACROSS calls into
-// per-destination PutBatch messages.
-static void PublishPathRun(benchmark::State& state, bool standing) {
+// file per upcall): each file is its own Publisher call, and the standing
+// rehash queues coalesce ACROSS calls into per-destination PutBatch
+// messages. run_bench.sh gates net_messages <= 1399 with all 1270 tuples
+// stored.
+static void BM_PublishPath_StandingQueues(benchmark::State& state) {
   const size_t kFiles = 256, kNodes = 16;
   uint64_t net_messages = 0, net_bytes = 0, stored = 0;
   for (auto _ : state) {
@@ -576,15 +476,10 @@ static void PublishPathRun(benchmark::State& state, bool standing) {
           "artist" + std::to_string(i % 20) + " snooped rare " +
               std::to_string(i) + ".mp3",
           1 << 20, static_cast<uint32_t>(i % kNodes), 6346};
-      if (standing) {
-        // One call per file; cross-call coalescing in the rehash queues.
-        publisher.PublishFile(f.filename, f.size_bytes, f.address, f.port,
-                              popts);
-      } else {
-        PublishPerTuple(piers[0].get(), f);
-      }
+      publisher.PublishFile(f.filename, f.size_bytes, f.address, f.port,
+                            popts);
     }
-    if (standing) piers[0]->FlushPublishQueues();
+    piers[0]->FlushPublishQueues();
     simulator.Run();
     net_messages += network.metrics().total.messages;
     net_bytes += network.metrics().total.bytes;
@@ -599,15 +494,6 @@ static void PublishPathRun(benchmark::State& state, bool standing) {
   state.counters["net_messages"] = per_iter(net_messages);
   state.counters["net_bytes"] = per_iter(net_bytes);
   state.counters["stored"] = per_iter(stored);
-}
-
-static void BM_PublishPath_PerTupleCalls(benchmark::State& state) {
-  PublishPathRun(state, /*standing=*/false);
-}
-BENCHMARK(BM_PublishPath_PerTupleCalls)->Unit(benchmark::kMillisecond);
-
-static void BM_PublishPath_StandingQueues(benchmark::State& state) {
-  PublishPathRun(state, /*standing=*/true);
 }
 BENCHMARK(BM_PublishPath_StandingQueues)->Unit(benchmark::kMillisecond);
 
@@ -711,21 +597,21 @@ static void BM_AdaptiveFlush_PressureDriven(benchmark::State& state) {
 BENCHMARK(BM_AdaptiveFlush_PressureDriven)->Unit(benchmark::kMillisecond);
 
 // Slow-owner backpressure: a 50-chunk join stream into a stage owner with
-// a 20ms receive delay. Unpaced, the whole stream piles onto the owner's
-// queue (peak in-flight bytes ~ the full entry list); credit-paced, the
-// producer holds chunks until the owner acks, bounding the peak near the
-// credit window. Same final join answer either way.
-static void CreditJoinRun(benchmark::State& state, size_t credit_window) {
+// a 20ms receive delay. Credit-paced, the producer holds chunks until the
+// owner acks, bounding the peak in-flight bytes at the owner near the
+// 2-chunk credit window instead of the full entry list. run_bench.sh gates
+// peak_inflight_bytes <= 1918 with all 400 results returned.
+static void BM_CreditJoin_Credited(benchmark::State& state) {
   const size_t kNodes = 16, kAlpha = 400, kBeta = 500;
   uint64_t peak_bytes = 0, results = 0, stalls = 0;
   for (auto _ : state) {
     BenchCluster c(kNodes);
     pier::BatchOptions bopts;
     bopts.max_stage_entries = 8;
-    bopts.stage_credit_chunks = credit_window;
-    // This pair measures the FIXED window contract (floor = ceiling); the
+    bopts.stage_credit_chunks = 2;
+    // This bench measures the FIXED window contract (floor = ceiling); the
     // service-rate derived window would deepen it on the stale-fast EWMA.
-    bopts.max_stage_credit_chunks = credit_window;
+    bopts.max_stage_credit_chunks = 2;
     for (auto& p : c.piers) p->set_batch_options(bopts);
     auto publish = [&](const char* kw, uint64_t lo, uint64_t hi) {
       std::vector<pier::Tuple> tuples;
@@ -766,15 +652,6 @@ static void CreditJoinRun(benchmark::State& state, size_t credit_window) {
   state.counters["peak_inflight_bytes"] = per_iter(peak_bytes);
   state.counters["results"] = per_iter(results);
   state.counters["credits_stalled"] = per_iter(stalls);
-}
-
-static void BM_CreditJoin_Unpaced(benchmark::State& state) {
-  CreditJoinRun(state, /*credit_window=*/0);
-}
-BENCHMARK(BM_CreditJoin_Unpaced)->Unit(benchmark::kMillisecond);
-
-static void BM_CreditJoin_Credited(benchmark::State& state) {
-  CreditJoinRun(state, /*credit_window=*/2);
 }
 BENCHMARK(BM_CreditJoin_Credited)->Unit(benchmark::kMillisecond);
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Runs the micro_core benchmark suite and records BENCH_core.json at the
-# repo root: the raw google-benchmark results plus the batching speedup
-# ratios the perf trajectory is tracked by (see bench/README.md).
+# repo root: the raw google-benchmark results plus the codec speedup ratios
+# and transport counters the perf trajectory is tracked by (see
+# bench/README.md).
 #
 #   scripts/run_bench.sh [--smoke] [--check] [build_dir]
 #
@@ -9,7 +10,10 @@
 # --check fails (exit 1) when any speedup_vs_pre_refactor ratio in the
 #         written BENCH_core.json is missing or below 2x, when a
 #         transport_adaptive or routing value misses its floor or ceiling
-#         (replica fetch > 19 routed hops or != 192 fetched, adaptive flush
+#         (coalesced item fetch > 308 messages or != 192 fetched, standing
+#         queue publish > 1399 messages or != 1270 stored, credit-paced
+#         slow-owner join > 1918 peak in-flight bytes or != 400 results,
+#         replica fetch > 19 routed hops or != 192 fetched, adaptive flush
 #         mean ack latency > 45ms), or when the plan-execution search
 #         path costs more than 121 messages or returns != 100 results,
 #         or when a churn scenario misses its robustness floor
@@ -81,35 +85,22 @@ def ratio(new, old):
     a, b = items_per_sec(new), items_per_sec(old)
     return round(a / b, 2) if a and b else None
 
-def section(per, new, keys):
-    out = {}
-    for mode, name in (("per_tuple", per), ("batched", new)):
-        b = by_name.get(name)
-        if b:
-            out[mode] = {k: b.get(k) for k in keys}
-    if "per_tuple" in out and "batched" in out and \
-            out["batched"].get("net_messages"):
-        out["message_reduction"] = round(
-            out["per_tuple"]["net_messages"] /
-            out["batched"]["net_messages"], 2)
-    return out
-
-chain = section("BM_JoinChain_PerTuplePublish", "BM_JoinChain_BatchedPublish",
-                ("net_messages", "net_bytes", "results"))
-fetch = section("BM_FetchItems_PerResult", "BM_FetchItems_OwnerCoalesced",
-                ("net_messages", "net_bytes", "fetched"))
-publish = section("BM_PublishPath_PerTupleCalls",
-                  "BM_PublishPath_StandingQueues",
-                  ("net_messages", "net_bytes", "stored"))
-
 def counter_ratio(baseline, adaptive, key):
     a, b = counter(baseline, key), counter(adaptive, key)
     return round(a / b, 2) if a and b else None
 
-# Load-adaptive transport (PR 3): deterministic counts of the
-# pressure-driven policies (gated by absolute ceilings below), plus the
-# unpaced-vs-credited ratio at identical result sets.
+# The one publish path, the one fetch path and the load-adaptive
+# transport: deterministic counts, each gated by an absolute ceiling and an
+# exact answer count below.
 transport = {
+    # Owner-coalesced fetch of a published 192-item answer set.
+    "fetch_items_net_messages": counter(
+        "BM_FetchItems_OwnerCoalesced", "net_messages"),
+    "fetch_items_fetched": counter("BM_FetchItems_OwnerCoalesced", "fetched"),
+    # Call-at-a-time publishes of 256 files through the standing queues.
+    "publish_path_net_messages": counter(
+        "BM_PublishPath_StandingQueues", "net_messages"),
+    "publish_path_stored": counter("BM_PublishPath_StandingQueues", "stored"),
     # Routed hops answering the replicated 192-item key set.
     "replica_fetch_routed_hops": counter(
         "BM_ReplicaFetch_ReplicaAware", "routed_hops"),
@@ -119,12 +110,9 @@ transport = {
     "adaptive_flush_mean_ack_latency_ms": counter(
         "BM_AdaptiveFlush_PressureDriven", "mean_ack_latency_ms"),
     # Bounded peak in-flight bytes at a slow stage owner.
-    "credit_backpressure_bytes": counter_ratio(
-        "BM_CreditJoin_Unpaced", "BM_CreditJoin_Credited",
-        "peak_inflight_bytes"),
-    "credit_join_identical_results": (
-        counter("BM_CreditJoin_Unpaced", "results") ==
-        counter("BM_CreditJoin_Credited", "results")),
+    "credit_peak_inflight_bytes": counter(
+        "BM_CreditJoin_Credited", "peak_inflight_bytes"),
+    "credit_join_results": counter("BM_CreditJoin_Credited", "results"),
 }
 
 # Declarative plan execution (PR 4): the compiled-plan search path's
@@ -287,10 +275,6 @@ ratios = {
     "tuple_serialize_batch": ratio(
         "BM_TupleSerialize_Batch/512",
         "BM_TupleSerialize_PerTuple/512"),
-    # Message-reduction ratios, single-sourced from the sections above
-    # (deterministic: counted, not timed).
-    "fetch_coalescing_messages": fetch.get("message_reduction"),
-    "rehash_queue_messages": publish.get("message_reduction"),
 }
 
 out = {
@@ -303,9 +287,6 @@ out = {
     "partition_tolerance": partition,
     "query_robustness": robustness,
     "shard_scale": shard_scale,
-    "join_chain": chain,
-    "fetch_coalescing": fetch,
-    "rehash_queues": publish,
     "benchmarks": raw.get("benchmarks", []),
 }
 with open(out_path, "w") as f:
@@ -322,11 +303,6 @@ print("  churn scenarios:", churn)
 print("  partition tolerance:", partition)
 print("  query robustness:", robustness)
 print("  shard scale:", shard_scale)
-for label, s in (("join chain", chain), ("fetch coalescing", fetch),
-                 ("rehash queues", publish)):
-    if "message_reduction" in s:
-        print("  %s message reduction: %sx" % (label,
-                                               s["message_reduction"]))
 EOF
 
 rm -f "$RAW"
@@ -336,8 +312,8 @@ if [ "$CHECK" = "1" ]; then
 import json, sys
 
 # Bench-regression gate: every tracked speedup ratio must exist and stay
-# at or above 2x the pre-refactor path, and the adaptive-transport values
-# must hold their own floors and ceilings.
+# at or above 2x the pre-refactor codec, and the transport values must
+# hold their own ceilings and answer counts.
 with open(sys.argv[1]) as f:
     bench = json.load(f)
 
@@ -348,21 +324,17 @@ for name, value in sorted(bench.get("speedup_vs_pre_refactor", {}).items()):
     elif value < 2.0:
         failed.append("%s: %.2fx < 2x" % (name, value))
 
-# Load-adaptive transport (counted / sim-clock quantities, deterministic
-# under the fixed seeds). The credit ratio keeps its floor (observed bytes
-# ~22x). The replica-fetch and adaptive-flush ceilings are the frozen
-# baselines divided by their former ratio floors: 25 K-owner hops / 1.3x
-# and 82ms fixed-bound ack latency / 1.8x (observed: 14 hops, 32ms).
+# Transport (counted / sim-clock quantities, deterministic under the fixed
+# seeds). Every ceiling is a frozen baseline divided by its former ratio
+# floor: 616 per-key fetch messages / 2x, 2798 per-tuple publish messages /
+# 2x, 7672 unpaced peak bytes / 4x, 25 K-owner hops / 1.3x and 82ms
+# fixed-bound ack latency / 1.8x (observed: 32 messages, 1236 messages,
+# 352 bytes, 14 hops, 32ms).
 transport = bench.get("transport_adaptive", {})
-value = transport.get("credit_backpressure_bytes")
-if value is None:
-    failed.append("credit_backpressure_bytes: missing (bench did not run?)")
-elif value < 4.0:
-    failed.append("credit_backpressure_bytes: %.2fx < 4.0x" % value)
-if transport.get("credit_join_identical_results") is not True:
-    failed.append("credit_join_identical_results: credit pacing changed "
-                  "the answer set")
 transport_ceilings = {
+    "fetch_items_net_messages": 308,
+    "publish_path_net_messages": 1399,
+    "credit_peak_inflight_bytes": 1918,
     "replica_fetch_routed_hops": 19,
     "adaptive_flush_mean_ack_latency_ms": 45,
 }
@@ -372,9 +344,16 @@ for name, ceiling in sorted(transport_ceilings.items()):
         failed.append("%s: missing (bench did not run?)" % name)
     elif value > ceiling:
         failed.append("%s: %s > %s" % (name, value, ceiling))
-if transport.get("replica_fetch_fetched") != 192:
-    failed.append("replica_fetch_fetched: %s != 192 (replica peels changed "
-                  "the answer set)" % transport.get("replica_fetch_fetched"))
+transport_answers = {
+    "fetch_items_fetched": 192,
+    "publish_path_stored": 1270,
+    "credit_join_results": 400,
+    "replica_fetch_fetched": 192,
+}
+for name, want in sorted(transport_answers.items()):
+    if transport.get(name) != want:
+        failed.append("%s: %s != %s (the answer set changed)" %
+                      (name, transport.get(name), want))
 
 # Routing-layer floors (counted hops / sim-clock latency, deterministic
 # under the fixed seeds; floors carry margin under the observed values:

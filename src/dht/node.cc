@@ -14,6 +14,20 @@ namespace {
 /// Wire-size estimate for a NodeInfo (id + address).
 constexpr size_t kNodeInfoBytes = 12;
 
+constexpr size_t kRouteCacheCapacity = 256;  ///< Owner arcs remembered.
+constexpr uint32_t kMaxRouteHops = 128;      ///< Hops before a route drops.
+constexpr sim::SimTime kFixFingerInterval = 250 * sim::kMillisecond;
+/// A stabilize round declares a silent successor failed after this long.
+constexpr sim::SimTime kRpcTimeout = 2 * sim::kSecond;
+/// Anti-entropy cadence: a node whose ownership or replica set changed
+/// re-syncs its owned arc once per interval until clean.
+constexpr sim::SimTime kResyncInterval = 1 * sim::kSecond;
+/// Ring-merge cadence: a node holding remembered (evicted) peers probes one
+/// per interval. A live answer means the peer was partitioned, not dead,
+/// and the exchange knits the two rings back together. Nodes that evicted
+/// nobody send nothing.
+constexpr sim::SimTime kReconcileInterval = 2 * sim::kSecond;
+
 std::unique_ptr<RoutingTable> MakeRouting(OverlayKind kind, NodeInfo self) {
   switch (kind) {
     case OverlayKind::kChord:
@@ -78,12 +92,12 @@ struct MergeBody {
 DhtNode::DhtNode(sim::Network* network, Key id, const DhtOptions& options,
                  DhtMetrics* metrics)
     : network_(network), options_(options), metrics_(metrics),
-      route_cache_(options.route_cache_capacity) {
+      route_cache_(kRouteCacheCapacity) {
   assert(network != nullptr);
   assert(metrics != nullptr);
   sim::HostId host = network->AddHost(this);
   routing_ = MakeRouting(options.overlay, NodeInfo{id, host});
-  policy_ = MakeNextHopPolicy(options.routing_policy, options.congestion);
+  policy_ = MakeNextHopPolicy(options.routing_policy);
   load_probe_ = [this](sim::HostId h) { return network_->LoadOf(h); };
   if (ChordRouting* c = chord()) {
     c->set_replica_watch(
@@ -256,8 +270,6 @@ void DhtNode::CancelPendingRequests() {
   sim::Executor* s = network_->executor();
   for (auto& [id, p] : pending_gets_) s->Cancel(p.timeout);
   pending_gets_.clear();
-  for (auto& [id, p] : pending_batch_gets_) s->Cancel(p.timeout);
-  pending_batch_gets_.clear();
   for (auto& [id, p] : pending_multi_gets_) s->Cancel(p.timeout);
   pending_multi_gets_.clear();
   for (auto& [id, p] : pending_lookups_) s->Cancel(p.timeout);
@@ -301,8 +313,7 @@ void DhtNode::ForwardOrDeliver(RouteMsg msg) {
   // peel. Gated on actually holding data: an empty store might be
   // replication lag, so the request continues to the owner for the
   // authoritative (possibly empty) answer.
-  if ((msg.app_type == kAppGet || msg.app_type == kAppGetBatch) &&
-      options_.replication > 1 && joined_ &&
+  if (msg.app_type == kAppGet && options_.replication > 1 && joined_ &&
       !routing_->IsOwner(msg.target)) {
     const auto& get = msg.body<GetBody>();
     if (store_.Has(get.ns, get.key, network_->executor()->now())) {
@@ -366,7 +377,7 @@ void DhtNode::ForwardOrDeliver(RouteMsg msg) {
         return;
       }
     }
-    if (msg.hops >= options_.max_route_hops) {
+    if (msg.hops >= kMaxRouteHops) {
       ++metrics_->routes_dropped;
       return;
     }
@@ -439,9 +450,6 @@ void DhtNode::DeliverLocally(const RouteMsg& msg) {
       return;
     case kAppGet:
       HandleGetUpcall(msg);
-      return;
-    case kAppGetBatch:
-      HandleGetBatchUpcall(msg);
       return;
     case kAppGetMulti:
       HandleGetMultiUpcall(msg);
@@ -609,43 +617,6 @@ void DhtNode::OnGetAttemptTimeout(uint64_t req_id) {
   GetCallback cb = std::move(p.callback);
   pending_gets_.erase(it);
   cb(Status::TimedOut("dht get"), {});
-}
-
-void DhtNode::GetBatch(const std::string& ns, Key key,
-                       GetBatchCallback callback) {
-  assert(callback != nullptr);
-  ++metrics_->batch_gets;
-  uint64_t req_id = NextReqId();
-  size_t bytes = ns.size() + 10;
-  auto body = std::make_shared<const GetBody>(GetBody{ns, key});
-  PendingBatchGet pending;
-  pending.callback = std::move(callback);
-  pending.body = body;
-  pending.key = key;
-  pending.bytes = bytes;
-  pending.timeout = network_->executor()->ScheduleAfter(host(), 
-      AttemptTimeout(0),
-      [this, req_id]() { OnBatchGetAttemptTimeout(req_id); });
-  pending_batch_gets_[req_id] = std::move(pending);
-  Route(key, kAppGetBatch, body, bytes, req_id);
-}
-
-void DhtNode::OnBatchGetAttemptTimeout(uint64_t req_id) {
-  auto it = pending_batch_gets_.find(req_id);
-  if (it == pending_batch_gets_.end()) return;
-  PendingBatchGet& p = it->second;
-  if (p.attempts < options_.get_retries) {
-    ++p.attempts;
-    ++metrics_->get_retries;
-    p.timeout = network_->executor()->ScheduleAfter(host(), 
-        AttemptTimeout(p.attempts),
-        [this, req_id]() { OnBatchGetAttemptTimeout(req_id); });
-    Route(p.key, kAppGetBatch, p.body, p.bytes, req_id);
-    return;
-  }
-  GetBatchCallback cb = std::move(p.callback);
-  pending_batch_gets_.erase(it);
-  cb(Status::TimedOut("dht get batch"), {});
 }
 
 sim::EventId DhtNode::ArmMultiGetTimeout(uint64_t req_id, uint32_t attempt) {
@@ -857,21 +828,6 @@ void DhtNode::HandleGetUpcall(const RouteMsg& msg) {
                                               std::move(reply)));
 }
 
-void DhtNode::HandleGetBatchUpcall(const RouteMsg& msg) {
-  const auto& get = msg.body<GetBody>();
-  GetBatchReplyBody reply;
-  reply.req_id = msg.req_id;
-  reply.hint = OwnerHintFor(msg.target);
-  reply.batch =
-      store_.GetBatch(get.ns, get.key, network_->executor()->now());
-  size_t bytes =
-      reply.batch->size() + 12 + (reply.hint.valid ? kOwnerHintBytes : 0);
-  SendDirect(msg.origin.host,
-             sim::Message::Make<GetBatchReplyBody>(kGetBatchReply,
-                                                   "dht.reply", bytes,
-                                                   std::move(reply)));
-}
-
 void DhtNode::HandleGetMultiUpcall(const RouteMsg& msg) {
   const auto& get = msg.body<MultiGetBody>();
   sim::SimTime now = network_->executor()->now();
@@ -1059,19 +1015,17 @@ void DhtNode::StartMaintenanceTimers() {
   stabilize_timer_ = network_->executor()->ScheduleAfter(host(), 
       options_.stabilize_interval + offset, [this]() { DoStabilize(); });
   fix_finger_timer_ = network_->executor()->ScheduleAfter(host(), 
-      options_.fix_finger_interval + offset, [this]() { DoFixFinger(); });
+      kFixFingerInterval + offset, [this]() { DoFixFinger(); });
   if (options_.failure_detector) {
     detector_timer_ = network_->executor()->ScheduleAfter(host(), 
         options_.ping_interval + offset, [this]() { DoFailureDetector(); });
   }
   if (options_.replication > 1) {
     resync_timer_ = network_->executor()->ScheduleAfter(host(),
-        options_.resync_interval + offset, [this]() { DoResync(); });
+        kResyncInterval + offset, [this]() { DoResync(); });
   }
-  if (options_.reconcile_interval > 0) {
-    reconcile_timer_ = network_->executor()->ScheduleAfter(host(),
-        options_.reconcile_interval + offset, [this]() { DoReconcile(); });
-  }
+  reconcile_timer_ = network_->executor()->ScheduleAfter(host(),
+      kReconcileInterval + offset, [this]() { DoReconcile(); });
 }
 
 void DhtNode::DoStabilize() {
@@ -1097,7 +1051,7 @@ void DhtNode::DoStabilize() {
                                   kGetPredecessor, "dht.maint", 9,
                                   GetPredecessorBody{seq}))) {
       stabilize_timeout_ = network_->executor()->ScheduleAfter(host(), 
-          options_.rpc_timeout, [this, seq, suspect = succ.host]() {
+          kRpcTimeout, [this, seq, suspect = succ.host]() {
             OnStabilizeTimeout(seq, suspect);
           });
       return;
@@ -1119,7 +1073,7 @@ void DhtNode::OnStabilizeTimeout(uint64_t seq, sim::HostId suspect) {
 void DhtNode::DoFixFinger() {
   if (crashed_ || !joined_) return;
   fix_finger_timer_ = network_->executor()->ScheduleAfter(host(), 
-      options_.fix_finger_interval, [this]() { DoFixFinger(); });
+      kFixFingerInterval, [this]() { DoFixFinger(); });
   ChordRouting* c = chord();
   if (c == nullptr) return;
   size_t i = next_finger_;
@@ -1184,7 +1138,7 @@ void DhtNode::DoFailureDetector() {
 void DhtNode::DoResync() {
   if (crashed_ || !joined_) return;
   resync_timer_ = network_->executor()->ScheduleAfter(host(), 
-      options_.resync_interval, [this]() { DoResync(); });
+      kResyncInterval, [this]() { DoResync(); });
   if (!resync_dirty_ || options_.replication <= 1) return;
   ChordRouting* c = chord();
   if (c == nullptr) {
@@ -1293,7 +1247,7 @@ void DhtNode::HandleResyncPull(sim::HostId from, const sim::Message& msg) {
 void DhtNode::DoReconcile() {
   if (crashed_ || !joined_) return;
   reconcile_timer_ = network_->executor()->ScheduleAfter(host(),
-      options_.reconcile_interval, [this]() { DoReconcile(); });
+      kReconcileInterval, [this]() { DoReconcile(); });
   const auto& remembered = routing_->RememberedPeers();
   if (remembered.empty()) return;  // nobody evicted: the round is free
   reconcile_cursor_ %= remembered.size();
@@ -1442,17 +1396,6 @@ void DhtNode::HandleMessage(sim::HostId from, const sim::Message& msg) {
       GetCallback cb = std::move(it->second.callback);
       pending_gets_.erase(it);
       cb(Status::OK(), reply.values);
-      return;
-    }
-    case kGetBatchReply: {
-      const auto& reply = msg.as<GetBatchReplyBody>();
-      LearnOwner(reply.hint);
-      auto it = pending_batch_gets_.find(reply.req_id);
-      if (it == pending_batch_gets_.end()) return;
-      network_->executor()->Cancel(it->second.timeout);
-      GetBatchCallback cb = std::move(it->second.callback);
-      pending_batch_gets_.erase(it);
-      cb(Status::OK(), reply.batch);
       return;
     }
     case kMultiGetReply: {

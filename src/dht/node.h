@@ -1,6 +1,6 @@
-// DhtNode: one DHT participant — key-based routing with upcalls, put/get
-// with replication, and ring maintenance (join / stabilize / failure
-// repair, Chord-style).
+// DhtNode: one DHT participant — key-based routing with upcalls, put, get
+// and owner-coalesced multi-get with replication, and ring maintenance
+// (join / stabilize / failure repair, Chord-style).
 //
 // This is the messaging + storage substrate PIER runs on (paper Section 2:
 // "With the exception of query answers, all messages are sent via the DHT
@@ -65,7 +65,6 @@ enum RoutedApp : int {
   kAppFingerLookup = 4,
   kAppLookup = 5,
   kAppPutBatch = 6,
-  kAppGetBatch = 7,
   kAppGetMulti = 8,
   kAppUserBase = 100,
 };
@@ -81,7 +80,6 @@ struct DhtMetrics {
   RelaxedCounter gets;
   RelaxedCounter batch_puts;        ///< PutBatch messages (any value count).
   RelaxedCounter batch_put_values;  ///< Values carried by PutBatch messages.
-  RelaxedCounter batch_gets;
   /// Routed MultiGet messages (initial sends + owner-to-owner forwards):
   /// one per distinct owner visited, the coalesced answer-fetch cost.
   RelaxedCounter multi_gets;
@@ -130,7 +128,7 @@ struct DhtMetrics {
   RelaxedCounter resync_entries;
   /// Payload bytes shipped by re-sync pulls.
   RelaxedCounter resync_bytes;
-  /// Get/GetBatch/MultiGet attempt re-sends after an attempt timeout (the
+  /// Get/MultiGet attempt re-sends after an attempt timeout (the
   /// in-flight-owner-crash recovery path).
   RelaxedCounter get_retries;
   /// Reconciliation probes sent to remembered (evicted) peers by the
@@ -162,8 +160,8 @@ struct DhtOptions {
   /// each visited node hands the remainder one hop to the farthest
   /// successor still inside every remaining arc key's replica set, which
   /// answers up to `replication` owners' key ranges at once — and
-  /// single-key Get/GetBatch requests stop at the first replica met on the
-  /// routing path that holds data under (ns, key). Both peels are
+  /// single-key Get requests stop at the first replica met on the routing
+  /// path that holds data under (ns, key). Both peels are
   /// Has-gated: a hop with an EMPTY store never short-circuits, so
   /// replication lag still resolves at the owner authoritatively.
   size_t replication = 1;
@@ -178,17 +176,11 @@ struct DhtOptions {
   /// direct one-hop send before ring routing (see dht/route_cache.h).
   /// Ignored — forced off — under kClassicChord.
   bool owner_location_cache = true;
-  size_t route_cache_capacity = 256;
-  /// Congestion-penalty tuning for kCongestionAware.
-  CongestionPolicyOptions congestion;
-  uint32_t max_route_hops = 128;
   /// Run periodic ring maintenance (stabilize + fix-fingers) on statically
   /// bootstrapped nodes. Off by default so static simulations quiesce;
   /// dynamically joined nodes always run maintenance.
   bool maintenance = false;
   sim::SimTime stabilize_interval = 500 * sim::kMillisecond;
-  sim::SimTime fix_finger_interval = 250 * sim::kMillisecond;
-  sim::SimTime rpc_timeout = 2 * sim::kSecond;
   sim::SimTime get_timeout = 10 * sim::kSecond;
   /// Proactive failure detector: periodic liveness pings to the ring
   /// neighborhood (predecessor, leading successors, a rotating finger),
@@ -201,20 +193,7 @@ struct DhtOptions {
   bool failure_detector = true;
   sim::SimTime ping_interval = 300 * sim::kMillisecond;
   uint32_t ping_miss_threshold = 2;
-  /// Replica re-sync cadence: a node whose ownership or replica set
-  /// changed anti-entropy-syncs its owned arc (digests out, missing
-  /// entries pulled back) once per interval until clean.
-  sim::SimTime resync_interval = 1 * sim::kSecond;
-  /// Ring-merge reconciliation cadence: a node holding remembered
-  /// (detector-evicted) peers probes one of them per interval. A live
-  /// answer means the peer was partitioned, not dead — the probe/reply
-  /// exchange cross-pollinates successor views and loopy stabilization
-  /// knits the two rings back together (Bamboo-lineage reintegration;
-  /// reactive-only recovery never re-merges a split brain). Low cadence on
-  /// purpose: the steady-state cost is one tiny probe per interval per
-  /// node that has evicted anyone, and zero otherwise. 0 disables.
-  sim::SimTime reconcile_interval = 2 * sim::kSecond;
-  /// Re-send attempts for Get/GetBatch/MultiGet after an attempt timeout.
+  /// Re-send attempts for Get/MultiGet after an attempt timeout.
   /// Attempt deadlines back off geometrically and sum to `get_timeout`,
   /// so the caller-visible total deadline is unchanged; 0 restores the
   /// single-attempt behavior bit-for-bit.
@@ -227,11 +206,8 @@ class DhtNode : public sim::Host {
  public:
   using GetCallback =
       std::function<void(Status, std::vector<std::vector<uint8_t>>)>;
-  /// Batched get: the owner's values under (ns, key) as one contiguous
-  /// pier::TupleBatch image (count prefix + concatenated frames), shared
-  /// straight out of the owner's image cache (null on timeout).
-  using GetBatchCallback = std::function<void(Status, BatchImage batch)>;
-  /// One key's answer within a MultiGet reply.
+  /// One key's answer within a MultiGet reply: the owner's values under
+  /// (ns, key) as one pier::TupleBatch image shared from its image cache.
   struct MultiGetItem {
     Key key = 0;
     BatchImage batch;
@@ -315,11 +291,6 @@ class DhtNode : public sim::Host {
 
   /// Fetches all values under (ns, key) from the key's owner.
   void Get(const std::string& ns, Key key, GetCallback callback);
-
-  /// Batched Get: the reply is one TupleBatch image built by the owner's
-  /// LocalStore::GetBatch — decoded once by the caller instead of one
-  /// deserialize per value.
-  void GetBatch(const std::string& ns, Key key, GetBatchCallback callback);
 
   /// Owner-coalesced multi-key Get: fetches the batch images of many keys
   /// with one routed message per distinct owner. The request routes to the
@@ -420,7 +391,6 @@ class DhtNode : public sim::Host {
     kDirectApp = 12,
     kLeave = 13,
     kPredecessorPing = 14,
-    kGetBatchReply = 15,
     kReplicaPutBatch = 16,
     kMultiGetReply = 17,
     /// Standalone owner hint for routed deliveries that send no reply the
@@ -496,11 +466,6 @@ class DhtNode : public sim::Host {
     std::vector<std::vector<uint8_t>> values;
     OwnerHint hint;  ///< Teaches the requester the answering owner's arc.
   };
-  struct GetBatchReplyBody {
-    uint64_t req_id;
-    BatchImage batch;  ///< TupleBatch image, shared with the owner's cache.
-    OwnerHint hint;
-  };
   struct MultiGetBody {
     std::string ns;
     std::vector<Key> keys;  ///< Keys still awaiting an owner.
@@ -555,7 +520,6 @@ class DhtNode : public sim::Host {
   /// same salvage rule as the tuple-batch decoder).
   void StoreBatchFrames(const PutBatchBody& put);
   void HandleGetUpcall(const RouteMsg& msg);
-  void HandleGetBatchUpcall(const RouteMsg& msg);
   void HandleGetMultiUpcall(const RouteMsg& msg);
   /// Replica-aware scatter shortcut: hands the unanswered keys one hop to
   /// the farthest successor that can answer the next key from its replica
@@ -627,7 +591,6 @@ class DhtNode : public sim::Host {
   /// preserved regardless of the retry count.
   sim::SimTime AttemptTimeout(uint32_t attempt) const;
   void OnGetAttemptTimeout(uint64_t req_id);
-  void OnBatchGetAttemptTimeout(uint64_t req_id);
   void OnMultiGetAttemptTimeout(uint64_t req_id);
 
   /// Route() with an explicit origin — MultiGet forwards keep the original
@@ -669,15 +632,6 @@ class DhtNode : public sim::Host {
     sim::EventId timeout = sim::kInvalidEventId;
   };
   std::map<uint64_t, PendingGet> pending_gets_;
-  struct PendingBatchGet {
-    GetBatchCallback callback;
-    std::shared_ptr<const void> body;
-    Key key = 0;
-    size_t bytes = 0;
-    uint32_t attempts = 0;
-    sim::EventId timeout = sim::kInvalidEventId;
-  };
-  std::map<uint64_t, PendingBatchGet> pending_batch_gets_;
   struct PendingMultiGet {
     MultiGetCallback callback;
     std::string ns;

@@ -8,6 +8,20 @@ namespace pierstack::dht {
 
 namespace {
 
+// Congestion penalties are "expected extra hops", the currency of the
+// remaining-distance proxy, so a detour is taken exactly when the queueing
+// it avoids is worth more than the ring progress it gives up. One hop is
+// charged per queued message past the slack (plain request/reply
+// pipelining is not congestion), per 16 KiB in flight past 32 KiB, and per
+// 100ms of smoothed delivery latency past 50ms (the network's base latency
+// is not congestion; the decayed EWMA catches slow hosts whose queue
+// happens to be empty right now).
+constexpr uint32_t kInflightMessageSlack = 2;
+constexpr size_t kInflightByteSlack = 32 * 1024;
+constexpr size_t kInflightBytesPerHop = 16 * 1024;
+constexpr sim::SimTime kLatencySlack = 50 * sim::kMillisecond;
+constexpr sim::SimTime kLatencyPerHop = 100 * sim::kMillisecond;
+
 /// Bit width of a ring distance — the expected-remaining-hops proxy
 /// (halving the distance per hop is what greedy O(log N) routing does).
 int DistanceBits(Key d) {
@@ -30,9 +44,6 @@ class ClassicGreedyPolicy : public NextHopPolicy {
 
 class CongestionAwarePolicy : public NextHopPolicy {
  public:
-  explicit CongestionAwarePolicy(const CongestionPolicyOptions& opts)
-      : opts_(opts) {}
-
   NextHopChoice Choose(const RoutingTable& table, Key target,
                        const LoadProbe& probe) const override {
     NodeInfo classic = table.NextHop(target);
@@ -88,29 +99,23 @@ class CongestionAwarePolicy : public NextHopPolicy {
   }
 
  private:
-  double CongestionPenaltyHops(const sim::DestinationLoad& load) const {
+  static double CongestionPenaltyHops(const sim::DestinationLoad& load) {
     double hops = 0;
-    if (load.in_flight_messages > opts_.inflight_message_slack) {
-      hops += opts_.hops_per_inflight_message *
-              static_cast<double>(load.in_flight_messages -
-                                  opts_.inflight_message_slack);
+    if (load.in_flight_messages > kInflightMessageSlack) {
+      hops += static_cast<double>(load.in_flight_messages -
+                                  kInflightMessageSlack);
     }
-    if (load.in_flight_bytes > opts_.inflight_byte_slack &&
-        opts_.inflight_bytes_per_hop > 0) {
-      hops += static_cast<double>(load.in_flight_bytes -
-                                  opts_.inflight_byte_slack) /
-              static_cast<double>(opts_.inflight_bytes_per_hop);
+    if (load.in_flight_bytes > kInflightByteSlack) {
+      hops += static_cast<double>(load.in_flight_bytes - kInflightByteSlack) /
+              static_cast<double>(kInflightBytesPerHop);
     }
-    if (opts_.latency_per_hop > 0 &&
-        load.smoothed_latency > opts_.latency_slack) {
-      hops += static_cast<double>(load.smoothed_latency -
-                                  opts_.latency_slack) /
-              static_cast<double>(opts_.latency_per_hop);
+    if (load.smoothed_latency > kLatencySlack) {
+      hops += static_cast<double>(load.smoothed_latency - kLatencySlack) /
+              static_cast<double>(kLatencyPerHop);
     }
     return hops;
   }
 
-  CongestionPolicyOptions opts_;
   /// Scratch candidate buffer — Choose is on the per-message fast path and
   /// must not allocate once warmed. Policies are per-node, single-threaded.
   mutable std::vector<NodeInfo> candidates_;
@@ -126,13 +131,12 @@ RoutingPolicyKind DefaultRoutingPolicyKind() {
   return RoutingPolicyKind::kCongestionAware;
 }
 
-std::unique_ptr<NextHopPolicy> MakeNextHopPolicy(
-    RoutingPolicyKind kind, const CongestionPolicyOptions& opts) {
+std::unique_ptr<NextHopPolicy> MakeNextHopPolicy(RoutingPolicyKind kind) {
   switch (kind) {
     case RoutingPolicyKind::kClassicChord:
       return std::make_unique<ClassicGreedyPolicy>();
     case RoutingPolicyKind::kCongestionAware:
-      return std::make_unique<CongestionAwarePolicy>(opts);
+      return std::make_unique<CongestionAwarePolicy>();
   }
   return nullptr;
 }

@@ -144,29 +144,6 @@ class RoutingTable {
 /// sim::Network::LoadOf by DhtNode.
 using LoadProbe = std::function<sim::DestinationLoad(sim::HostId)>;
 
-/// Tunables of the congestion-aware policy. All penalties are expressed in
-/// "expected extra hops", the same currency as the remaining-distance
-/// proxy, so a detour is taken exactly when the queueing it avoids is worth
-/// more than the ring progress it gives up.
-struct CongestionPolicyOptions {
-  /// In-flight messages a destination may queue before it counts as backed
-  /// up (plain request/reply pipelining is not congestion).
-  uint32_t inflight_message_slack = 2;
-  /// Each queued message past the slack costs one expected hop.
-  double hops_per_inflight_message = 1.0;
-  /// In-flight bytes tolerated before the byte penalty starts.
-  size_t inflight_byte_slack = 32 * 1024;
-  /// Each this-many queued bytes past the slack cost one expected hop.
-  size_t inflight_bytes_per_hop = 16 * 1024;
-  /// Smoothed delivery latency tolerated before the latency penalty starts
-  /// (the network's ordinary base latency is not congestion).
-  sim::SimTime latency_slack = 50 * sim::kMillisecond;
-  /// Each this much smoothed delivery latency past the slack (the decayed
-  /// EWMA — catches slow hosts whose queue happens to be empty right now)
-  /// costs one expected hop.
-  sim::SimTime latency_per_hop = 100 * sim::kMillisecond;
-};
-
 /// One next-hop decision.
 struct NextHopChoice {
   NodeInfo next;        ///< self() means deliver locally (same as NextHop).
@@ -181,8 +158,7 @@ class NextHopPolicy {
                                const LoadProbe& probe) const = 0;
 };
 
-/// Builds the policy for `kind`. `opts` applies to kCongestionAware.
-std::unique_ptr<NextHopPolicy> MakeNextHopPolicy(
-    RoutingPolicyKind kind, const CongestionPolicyOptions& opts = {});
+/// Builds the policy for `kind`.
+std::unique_ptr<NextHopPolicy> MakeNextHopPolicy(RoutingPolicyKind kind);
 
 }  // namespace pierstack::dht

@@ -12,6 +12,19 @@ namespace pierstack::pier {
 
 namespace {
 
+/// A standing queue also ships once its frame buffer reaches this size,
+/// whatever the tuple bound.
+constexpr size_t kMaxBatchBytes = 48 * 1024;
+
+/// A fetch leg is hedged when its next-hop smoothed latency exceeds the
+/// threshold. The backup waits max(min delay, factor × latency) — fire only
+/// when the primary is genuinely late — capped so a degraded leg's inflated
+/// EWMA cannot push the backup past the primary's own retry schedule.
+constexpr sim::SimTime kHedgeLatencyThreshold = 60 * sim::kMillisecond;
+constexpr sim::SimTime kHedgeMinDelay = 50 * sim::kMillisecond;
+constexpr unsigned kHedgeDelayFactor = 3;
+constexpr sim::SimTime kHedgeMaxDelay = 500 * sim::kMillisecond;
+
 dht::Key DhtKeyFor(const std::string& ns, const Value& key) {
   return HashCombine(Fnv1a64(ns), key.Hash());
 }
@@ -162,23 +175,6 @@ PierNode::~PierNode() {
   }
 }
 
-void PierNode::Publish(const Schema& schema, Tuple tuple, sim::SimTime expiry,
-                       dht::DhtNode::PutCallback callback) {
-  ++metrics_->tuples_published;
-  ++metrics_->publish_messages;
-  std::vector<uint8_t> bytes = tuple.Serialize();
-  metrics_->publish_bytes += bytes.size();
-  dht::Key key = DhtKeyFor(schema.table_name(), tuple.IndexValue(schema));
-  // Preserve this node's publish ordering across the two paths: a standing
-  // queue still holding tuples for this destination must ship before the
-  // direct Put, or a queued older expiry could later roll back the refresh
-  // this Put applies.
-  auto it = rehash_queues_.find(std::make_pair(schema.table_name(), key));
-  if (it != rehash_queues_.end()) FlushAndErase(it);
-  dht_->Put(schema.table_name(), key, std::move(bytes), expiry,
-            std::move(callback));
-}
-
 void PierNode::FlushQueue(const std::pair<std::string, dht::Key>& dest,
                           RehashQueue* q) {
   if (q->flush_timer != sim::kInvalidEventId) {
@@ -256,10 +252,9 @@ void PierNode::EnqueueRehash(const std::string& ns, dht::Key key,
   q.frames.PutVarint(wire_size);
   tuple.SerializeTo(&q.frames);
   ++q.count;
-  if (q.count >= q.flush_threshold ||
-      q.frames.size() >= batch_options_.max_batch_bytes) {
+  if (q.count >= q.flush_threshold || q.frames.size() >= kMaxBatchBytes) {
     if (q.count < batch_options_.max_batch_tuples &&
-        q.frames.size() < batch_options_.max_batch_bytes) {
+        q.frames.size() < kMaxBatchBytes) {
       ++metrics_->adaptive_flushes;  // the load probe fired, not a ceiling
     }
     FlushAndErase(it);
@@ -331,52 +326,10 @@ std::vector<Tuple> PierNode::ScanLocal(const Schema& schema,
   return out;
 }
 
-void PierNode::Fetch(const Schema& schema, const Value& key,
-                     FetchCallback callback) {
-  ++metrics_->fetches;
-  dht::Key k = DhtKeyFor(schema.table_name(), key);
-  size_t index_field = schema.index_field();
-  // Captures the metrics sink rather than `this`: the deployment-owned
-  // PierMetrics outlives any one node, so a reply landing after this
-  // PierNode is gone stays safe.
-  dht_->GetBatch(
-      schema.table_name(), k,
-      [metrics = metrics_, callback = std::move(callback), key, index_field](
-          Status s, dht::BatchImage image) {
-        if (!s.ok()) {
-          // Labeled non-answer: the key's owner never reported.
-          Completeness c;
-          c.exact = false;
-          c.coverage_fraction = 0.0;
-          ++metrics->partial_results;
-          callback(s, {}, c);
-          return;
-        }
-        size_t dropped = 0;
-        TupleBatch batch = TupleBatch::DeserializeLossy(*image, &dropped);
-        metrics->tuples_dropped_deserialize += dropped;
-        std::vector<Tuple> tuples;
-        tuples.reserve(batch.size());
-        for (Tuple& t : batch.TakeTuples()) {
-          if (t.arity() <= index_field) continue;
-          if (!(t.at(index_field) == key)) continue;
-          tuples.push_back(std::move(t));
-        }
-        callback(Status::OK(), std::move(tuples), Completeness{});
-      });
-}
-
 void PierNode::FetchMany(const Schema& schema, std::vector<Value> keys,
                          FetchCallback callback) {
   FetchManyInternal(schema.table_name(), schema.index_field(),
                     std::move(keys), std::move(callback), /*top_level=*/true);
-}
-
-void PierNode::FetchManyByField(const std::string& ns, size_t index_field,
-                                std::vector<Value> keys,
-                                FetchCallback callback) {
-  FetchManyInternal(ns, index_field, std::move(keys), std::move(callback),
-                    /*top_level=*/true);
 }
 
 namespace {
@@ -422,8 +375,8 @@ void PierNode::FetchManyInternal(const std::string& ns, size_t index_field,
   auto race = std::make_shared<HedgedFetch>();
 
   // The resolution path captures the metrics sink and executor rather than
-  // `this` (the deployment-owned objects outlive any one node), matching
-  // the single-key Fetch precedent.
+  // `this`: the deployment-owned objects outlive any one node, so a reply
+  // landing after this PierNode is gone stays safe.
   auto finish = [metrics = metrics_, exec, race, wanted, index_field,
                  requested, top_level, callback = std::move(callback)](
                     Status s,
@@ -499,11 +452,9 @@ void PierNode::FetchManyInternal(const std::string& ns, size_t index_field,
       worst =
           std::max(worst, dht_->NextHopLoad(dht_keys[i]).smoothed_latency);
     }
-    if (worst > batch_options_.hedge_latency_threshold) {
-      sim::SimTime delay =
-          std::min(std::max(batch_options_.hedge_min_delay,
-                            batch_options_.hedge_delay_factor * worst),
-                   batch_options_.hedge_max_delay);
+    if (worst > kHedgeLatencyThreshold) {
+      sim::SimTime delay = std::min(
+          std::max(kHedgeMinDelay, kHedgeDelayFactor * worst), kHedgeMaxDelay);
       race->hedge_timer = exec->ScheduleAfter(
           dht_->host(), delay,
           [this, race, finish, ns, hedge_keys = dht_keys]() {
@@ -849,9 +800,9 @@ void PierNode::ForwardToStage(const JoinStageMsg& prev,
   }
 
   size_t window = CreditWindowChunks(target);
-  if (window == 0 || chunks <= window) {
-    // Fits in one credit window (or pacing is off): ship everything now,
-    // no stream registered, no ack chatter.
+  if (chunks <= window) {
+    // Fits in one credit window: ship everything now, no stream
+    // registered, no ack chatter.
     for (size_t c = 0; c < chunks; ++c) SendChunk(&stream, c, /*stream_id=*/0);
     return;
   }
@@ -863,8 +814,8 @@ void PierNode::ForwardToStage(const JoinStageMsg& prev,
 }
 
 size_t PierNode::CreditWindowChunks(dht::Key target) {
-  size_t base = batch_options_.stage_credit_chunks;
-  if (base == 0) return base;
+  // Floor at 1, as FlushThresholdTuples floors min_batch_tuples.
+  size_t base = std::max<size_t>(batch_options_.stage_credit_chunks, 1);
   // Observed service rate of the path toward the consuming stage owner
   // (the next routing hop, same probe the adaptive flush drives on). No
   // measurement yet means no trust: stay at the constant floor. Every

@@ -2,10 +2,13 @@
 //
 // Responsibilities (paper Sections 2–3):
 //  * table storage: every tuple is published into the DHT under its
-//    schema's index field (Put) and scanned from the owner's LocalStore,
-//  * rehash queues: standing per-destination send buffers that coalesce
-//    published tuples ACROSS calls into PutBatch messages, flushed by size
-//    or a simulator-clock interval (real PIER's rehash-queue design),
+//    schema's index field and scanned from the owner's LocalStore,
+//  * rehash queues: the one publish path — standing per-destination send
+//    buffers that coalesce published tuples ACROSS calls into PutBatch
+//    messages, flushed by size or a simulator-clock interval (real PIER's
+//    rehash-queue design),
+//  * owner-coalesced fetch: the one fetch path — keyed tuples resolve with
+//    one routed MultiGet message per distinct owner, a single key included,
 //  * distributed query execution: declarative plans (pier/plan.h) are
 //    compiled into a chain of distributed stages (pier/plan_exec.h) —
 //    index scans with serializable Expr filters, symmetric-hash-joined
@@ -47,11 +50,10 @@ struct PierMetrics {
   RelaxedCounter join_stage_messages;
   RelaxedCounter posting_entries_shipped; ///< Entries rehashed between stages.
   RelaxedCounter probe_messages;
-  RelaxedCounter fetches;
   RelaxedCounter multi_fetches;           ///< FetchMany calls (owner-coalesced).
-  /// Stored tuples lost to deserialize failures across ScanLocal / Fetch /
-  /// join stages. Non-zero means stored state was corrupted somewhere —
-  /// the integration suite asserts this stays 0.
+  /// Stored tuples lost to deserialize failures across ScanLocal /
+  /// FetchMany / join stages. Non-zero means stored state was corrupted
+  /// somewhere — the integration suite asserts this stays 0.
   RelaxedCounter tuples_dropped_deserialize;
   /// Rehash-queue flushes triggered by the load-adaptive threshold (below
   /// the fixed max_batch_tuples ceiling): the destination looked idle, so
@@ -109,7 +111,7 @@ struct PierMetrics {
 /// cache the next hop IS the owner, so the probe reads the actual
 /// destination) and flushes at `min_batch_tuples` when the path is idle —
 /// latency — doubling its patience with every in-flight message until the
-/// fixed `max_batch_tuples` / `max_batch_bytes` ceilings — throughput under
+/// fixed `max_batch_tuples` ceiling (or 48 KiB of frames) — throughput under
 /// load. Setting `min_batch_tuples = max_batch_tuples` pins the fixed bound.
 ///
 /// A join stage's surviving entry list streams onward in chunks of at most
@@ -117,8 +119,7 @@ struct PierMetrics {
 /// emission is credit-paced: the producer sends a window of chunks and
 /// waits for the stage owner's acks (each granting one more chunk) before
 /// sending more, so a slow owner backpressures its upstream instead of
-/// being buried. `stage_credit_chunks` = 0 disables pacing (the unpaced
-/// pre-credit behavior).
+/// being buried. The window never drops below one chunk.
 ///
 /// The initial window is seeded from the consumer's observed service rate:
 /// the producer probes the smoothed delivery latency toward the stage's
@@ -130,7 +131,6 @@ struct PierMetrics {
 /// setting the two equal pins a constant window.
 struct BatchOptions {
   size_t max_batch_tuples = 256;
-  size_t max_batch_bytes = 48 * 1024;
   sim::SimTime flush_interval = 50 * sim::kMillisecond;
   size_t max_stage_entries = 1024;
   size_t min_batch_tuples = 16;
@@ -152,20 +152,10 @@ struct BatchOptions {
   /// legacy sit-out-the-deadline behavior).
   size_t stage_failover_budget = 2;
   /// Hedge FetchMany legs whose probed next-hop smoothed latency exceeds
-  /// the threshold: a backup replica-preferring scatter races the primary
-  /// after a delay; the first complete answer wins and the duplicate is
-  /// suppressed by the shared fetch state.
+  /// 60ms: a backup replica-preferring scatter races the primary after a
+  /// quantile-style delay (see node.cc); the first complete answer wins
+  /// and the duplicate is suppressed by the shared fetch state.
   bool hedged_fetches = true;
-  sim::SimTime hedge_latency_threshold = 60 * sim::kMillisecond;
-  /// Backup delay = max(hedge_min_delay, hedge_delay_factor × observed
-  /// latency), capped at hedge_max_delay — a quantile-style wait so hedges
-  /// fire only when the primary is genuinely late, not on every probe
-  /// blip. The cap matters once a leg has already degraded: without it the
-  /// inflated EWMA pushes the backup past the primary's own retry schedule
-  /// and the hedge can never win again.
-  sim::SimTime hedge_min_delay = 50 * sim::kMillisecond;
-  unsigned hedge_delay_factor = 3;
-  sim::SimTime hedge_max_delay = 500 * sim::kMillisecond;
 
   // Stage-0 admission control at the stage owner: refuse plans whose
   // posting list (the entry volume the plan would scan and ship) exceeds a
@@ -222,20 +212,15 @@ class PierNode {
   dht::DhtNode* dht() { return dht_; }
   sim::HostId host() const { return dht_->host(); }
 
-  /// Publishes a tuple into the DHT under its schema's index field with an
-  /// immediate per-tuple Put (no coalescing — the pre-rehash-queue path,
-  /// kept for comparison benches and latency-critical one-offs).
-  void Publish(const Schema& schema, Tuple tuple, sim::SimTime expiry = 0,
-               dht::DhtNode::PutCallback callback = nullptr);
-
-  /// Publishes tuples through the standing rehash queues: each tuple joins
-  /// its destination's send buffer, which ships as one PutBatch message
-  /// when it fills (BatchOptions size bounds) or when the flush interval
-  /// elapses — so tuples coalesce across PublishBatch calls, not just
-  /// within one (e.g. the QRS snoop path publishing file-by-file). Same
-  /// storage semantics as per-tuple Publish. The callback, when given,
-  /// fires once after every batch carrying this call's tuples is acked
-  /// (first error wins).
+  /// Publishes tuples into the DHT under their schema's index field through
+  /// the standing rehash queues: each tuple joins its destination's send
+  /// buffer, which ships as one PutBatch message when it fills
+  /// (BatchOptions size bounds) or when the flush interval elapses — so
+  /// tuples coalesce across PublishBatch calls, not just within one (e.g.
+  /// the QRS snoop path publishing file-by-file). A differing expiry
+  /// flushes the destination's queue first, so a refresh never ships ahead
+  /// of an older expiry. The callback, when given, fires once after every
+  /// batch carrying this call's tuples is acked (first error wins).
   void PublishBatch(const Schema& schema, std::vector<Tuple> tuples,
                     sim::SimTime expiry = 0,
                     dht::DhtNode::PutCallback callback = nullptr);
@@ -254,21 +239,12 @@ class PierNode {
   /// filtering on the key column).
   std::vector<Tuple> ScanLocal(const Schema& schema, const Value& key);
 
-  /// Fetches all tuples of `schema` keyed by `key` from the owner node.
-  void Fetch(const Schema& schema, const Value& key, FetchCallback callback);
-
-  /// Owner-coalesced multi-key fetch: all tuples of `schema` keyed by any
-  /// of `keys`, grouped by resolved owner so a K-owner key set costs K
-  /// routed get messages with one TupleBatch reply per owner (see
-  /// dht::DhtNode::MultiGet) instead of one Fetch round-trip per key.
+  /// Owner-coalesced fetch: all tuples of `schema` keyed by any of `keys`,
+  /// grouped by resolved owner so a K-owner key set costs K routed get
+  /// messages with one TupleBatch reply per owner (see
+  /// dht::DhtNode::MultiGet). A single key is a one-key set.
   void FetchMany(const Schema& schema, std::vector<Value> keys,
                  FetchCallback callback);
-
-  /// FetchMany without a Schema object: all tuples of namespace `ns` whose
-  /// column `index_field` equals one of `keys` — what serialized plans
-  /// carry (a FetchJoin node names the table, not a C++ Schema).
-  void FetchManyByField(const std::string& ns, size_t index_field,
-                        std::vector<Value> keys, FetchCallback callback);
 
   /// Asks the owner of (ns, key) for its posting-list size — the optimizer
   /// probe behind the "smaller posting lists first" ordering.
@@ -380,8 +356,9 @@ class PierNode {
   void ExecuteStaged(std::shared_ptr<const StagedQuery> query,
                      JoinCallback callback, sim::SimTime timeout);
 
-  /// FetchManyByField body with the partial-result accounting flag (plan
-  /// fetch legs pass top_level=false; their plan counts the partial once).
+  /// FetchMany by table name and key column, as a FetchJoin plan node
+  /// names them, with the partial-result accounting flag (plan fetch legs
+  /// pass top_level=false; their plan counts the partial once).
   void FetchManyInternal(const std::string& ns, size_t index_field,
                          std::vector<Value> keys, FetchCallback callback,
                          bool top_level);
@@ -437,8 +414,8 @@ class PierNode {
   void ForwardToStage(const JoinStageMsg& prev,
                       std::vector<JoinResultEntry> surviving);
   /// The initial credit window for a chunk stream toward `target`'s stage
-  /// owner: the configured floor, deepened by the consumer's observed
-  /// service rate (see BatchOptions).
+  /// owner: the configured floor (at least one chunk), deepened by the
+  /// consumer's observed service rate (see BatchOptions).
   size_t CreditWindowChunks(dht::Key target);
   /// Emits chunk `idx` of `stream` toward its target stage; a non-zero
   /// `stream_id` marks it credit-paced (the receiver acks it).

@@ -1,8 +1,34 @@
 #include "pier/ops.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 namespace pierstack::pier {
+
+namespace {
+
+/// Column `c` of `t`, or Value() past the row, as Expr::Eval reads it: plan
+/// rows come from the store, so no width check happens at compile time.
+const Value& ColumnOrDefault(const Tuple& t, size_t c) {
+  static const Value kMissing;
+  return c < t.arity() ? t.at(c) : kMissing;
+}
+
+double NumericOf(const Value& v) {
+  switch (v.type()) {
+    case ValueType::kUint64:
+      return static_cast<double>(v.AsUint64());
+    case ValueType::kInt64:
+      return static_cast<double>(v.AsInt64());
+    case ValueType::kDouble:
+      return v.AsDouble();
+    case ValueType::kString:
+      return 0.0;  // non-numeric columns aggregate as zero
+  }
+  return 0.0;
+}
+
+}  // namespace
 
 bool VectorScan::Next(Tuple* out) {
   if (pos_ >= tuples_.size()) return false;
@@ -26,7 +52,7 @@ bool Projection::Next(Tuple* out) {
   if (!child_->Next(&t)) return false;
   std::vector<Value> vals;
   vals.reserve(cols_.size());
-  for (size_t c : cols_) vals.push_back(t.at(c));
+  for (size_t c : cols_) vals.push_back(ColumnOrDefault(t, c));
   *out = Tuple(std::move(vals));
   return true;
 }
@@ -124,24 +150,6 @@ std::vector<Tuple> SymmetricHashJoin::InsertRight(Tuple t) {
   return out;
 }
 
-namespace {
-
-double NumericOf(const Value& v) {
-  switch (v.type()) {
-    case ValueType::kUint64:
-      return static_cast<double>(v.AsUint64());
-    case ValueType::kInt64:
-      return static_cast<double>(v.AsInt64());
-    case ValueType::kDouble:
-      return v.AsDouble();
-    case ValueType::kString:
-      return 0.0;  // non-numeric columns aggregate as zero
-  }
-  return 0.0;
-}
-
-}  // namespace
-
 GroupByAggregate::GroupByAggregate(std::unique_ptr<Operator> child,
                                    std::vector<size_t> group_cols,
                                    std::vector<AggregateSpec> aggregates)
@@ -162,8 +170,9 @@ void GroupByAggregate::Open() {
     key.reserve(group_cols_.size());
     uint64_t h = 0xcbf29ce484222325ULL;
     for (size_t c : group_cols_) {
-      key.push_back(t.at(c));
-      h = HashCombine(h, t.at(c).Hash());
+      const Value& v = ColumnOrDefault(t, c);
+      key.push_back(v);
+      h = HashCombine(h, v.Hash());
     }
     size_t idx = SIZE_MAX;
     auto [lo, hi] = lookup.equal_range(h);
@@ -187,7 +196,7 @@ void GroupByAggregate::Open() {
       const AggregateSpec& spec = aggs_[a];
       double v = spec.kind == AggregateSpec::kCount
                      ? 0.0
-                     : NumericOf(t.at(spec.col));
+                     : NumericOf(ColumnOrDefault(t, spec.col));
       switch (spec.kind) {
         case AggregateSpec::kCount:
           g.acc[a] += 1;
@@ -235,37 +244,6 @@ void GroupByAggregate::Close() {
   groups_.clear();
 }
 
-void Distinct::Open() {
-  child_->Open();
-  seen_.clear();
-}
-
-bool Distinct::Next(Tuple* out) {
-  Tuple t;
-  while (child_->Next(&t)) {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (const Value& v : t) h = HashCombine(h, v.Hash());
-    auto [lo, hi] = seen_.equal_range(h);
-    bool dup = false;
-    for (auto it = lo; it != hi; ++it) {
-      if (it->second == t) {
-        dup = true;
-        break;
-      }
-    }
-    if (dup) continue;
-    seen_.emplace(h, t);
-    *out = std::move(t);
-    return true;
-  }
-  return false;
-}
-
-void Distinct::Close() {
-  child_->Close();
-  seen_.clear();
-}
-
 TopK::TopK(std::unique_ptr<Operator> child, size_t col, size_t k,
            bool descending)
     : child_(std::move(child)), col_(col), k_(k), descending_(descending) {}
@@ -277,7 +255,9 @@ void TopK::Open() {
   if (k_ == 0) return;
   // "Better" = should be kept; the heap root is the worst retained tuple.
   auto better = [this](const Tuple& a, const Tuple& b) {
-    return descending_ ? b.at(col_) < a.at(col_) : a.at(col_) < b.at(col_);
+    const Value& x = ColumnOrDefault(a, col_);
+    const Value& y = ColumnOrDefault(b, col_);
+    return descending_ ? y < x : x < y;
   };
   auto worst_first = [&](const Tuple& a, const Tuple& b) {
     return better(a, b);  // max-heap on "badness": root = worst retained

@@ -9,7 +9,6 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -239,20 +238,6 @@ class GroupByAggregate : public Operator {
   std::vector<AggregateSpec> aggs_;
   std::vector<GroupState> groups_;
   size_t emit_pos_ = 0;
-};
-
-/// Removes duplicate rows (full-tuple equality). Blocking on first Next.
-class Distinct : public Operator {
- public:
-  explicit Distinct(std::unique_ptr<Operator> child)
-      : child_(std::move(child)) {}
-  void Open() override;
-  bool Next(Tuple* out) override;
-  void Close() override;
-
- private:
-  std::unique_ptr<Operator> child_;
-  std::unordered_multimap<uint64_t, Tuple> seen_;
 };
 
 /// Top-K by a column (ascending or descending); blocking. Useful for

@@ -702,28 +702,6 @@ bool DecomposeContains(const Expr& e, uint32_t* col,
 
 }  // namespace
 
-PlanCostEstimate EstimatePlanCost(const QueryPlan& plan,
-                                  const PostingSizeFn& posting_size) {
-  PlanCostEstimate cost;
-  std::vector<uint32_t> scans;
-  bool undecorated = false;
-  if (!CollectChainScans(plan, &scans, &undecorated)) return cost;
-  uint64_t running = 0;
-  for (size_t i = 0; i < scans.size(); ++i) {
-    const PlanNode& scan = plan.nodes[scans[i]];
-    uint64_t local = posting_size(scan.ns, scan.key);
-    cost.scanned += local;
-    ++cost.stage_messages;
-    if (i == 0) {
-      running = local;
-    } else {
-      cost.entries_shipped += running;
-      running = std::min(running, local);
-    }
-  }
-  return cost;
-}
-
 std::vector<std::pair<std::string, Value>> CollectProbeTargets(
     const QueryPlan& plan) {
   std::vector<std::pair<std::string, Value>> targets;

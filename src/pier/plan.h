@@ -202,18 +202,6 @@ class PlanBuilder {
 using PostingSizeFn =
     std::function<size_t(const std::string& ns, const Value& key)>;
 
-/// Cost stub for a compiled-shape plan, fed by posting-size probes. Counts
-/// what the distributed executor would ship, under the independence
-/// assumption that a join never grows an entry list (each stage survives
-/// min(incoming, local) entries).
-struct PlanCostEstimate {
-  uint64_t scanned = 0;          ///< Tuples read by the stage scans.
-  uint64_t entries_shipped = 0;  ///< Entries rehashed between stages.
-  uint64_t stage_messages = 0;   ///< Routed stage messages (one per stage).
-};
-PlanCostEstimate EstimatePlanCost(const QueryPlan& plan,
-                                  const PostingSizeFn& posting_size);
-
 /// The (ns, key) pairs a size-driven rewrite of `plan` would need probed:
 /// every chain IndexScan key, plus — for a single-site scan filtered by
 /// substring terms — each Contains literal (a candidate routing key).

@@ -80,22 +80,6 @@ TEST(ReplicaReadsTest, ReadsPeelAtPathReplicasWithExactAnswers) {
   EXPECT_LT(c.dht->metrics().total_hops, OwnerRoutedHops(c.dht->options()));
 }
 
-TEST(ReplicaReadsTest, GetBatchPeelsToo) {
-  const size_t kKeys = 60;
-  Cluster c(32, Replicated(3));
-  PutAll(&c, kKeys);
-  size_t answered = 0;
-  for (uint64_t k = 0; k < kKeys; ++k) {
-    c.dht->node((k * 5 + 1) % c.dht->size())
-        ->GetBatch("t", Mix64(k), [&answered](Status s, BatchImage batch) {
-          if (s.ok() && batch && !batch->empty()) ++answered;
-        });
-  }
-  c.simulator.Run();
-  EXPECT_EQ(answered, kKeys);
-  EXPECT_GT(c.dht->metrics().replica_peels, 0u);
-}
-
 TEST(ReplicaReadsTest, EmptyReplicaNeverShortCircuits) {
   // Reads for keys that were never stored must still resolve at the owner
   // as authoritative empties, not peel into wrong-but-fast answers.

@@ -249,12 +249,13 @@ FetchFingerprint RunFetchScenario(Backend backend) {
     piers.push_back(std::make_unique<pier::PierNode>(dht->node(i), &metrics));
   }
 
+  std::vector<pier::Tuple> items;
   for (uint64_t id = 1; id <= 40; ++id) {
-    piers[0]->Publish(
-        ItemLikeSchema(),
-        pier::Tuple({pier::Value(id),
-                     pier::Value("item " + std::to_string(id))}));
+    items.push_back(pier::Tuple(
+        {pier::Value(id), pier::Value("item " + std::to_string(id))}));
   }
+  piers[0]->PublishBatch(ItemLikeSchema(), std::move(items));
+  piers[0]->FlushPublishQueues();
   exec->Run();
 
   auto fetch_round = [&] {

@@ -89,39 +89,36 @@ BatchOptions ChunkyOptions(size_t credit_window) {
   return opts;
 }
 
+/// Peak in-flight bytes at the slow beta owner below when all 50 chunks
+/// went on the wire at once, as recorded under both routing policies
+/// before emission without credit was removed (credited: 352).
+constexpr size_t kUnpacedPeakInFlightBytes = 7672;
+
 TEST(CreditFlowTest, SlowOwnerBoundsProducerInFlightBytes) {
   // alpha {0..400} all join beta {0..500}: stage 0 streams 50 chunks to
-  // the (slow) beta owner. Unpaced, every chunk is on the wire at once;
-  // with a 2-chunk credit window the producer may never have more than 2
-  // chunks queued at the slow owner.
-  Cluster unpaced(16, ChunkyOptions(0)), credited(16, ChunkyOptions(2));
-  for (Cluster* c : {&unpaced, &credited}) {
-    c->PublishPostings("alpha", 0, 400);
-    c->PublishPostings("beta", 0, 500);
-    c->network->SetProcessingDelay(c->OwnerOf("beta"),
-                                   20 * sim::kMillisecond);
-    c->network->ResetLoadWatermarks();
-  }
+  // the (slow) beta owner. With a 2-chunk credit window the producer may
+  // never have more than 2 chunks queued at the slow owner.
+  Cluster credited(16, ChunkyOptions(2));
+  credited.PublishPostings("alpha", 0, 400);
+  credited.PublishPostings("beta", 0, 500);
+  credited.network->SetProcessingDelay(credited.OwnerOf("beta"),
+                                       20 * sim::kMillisecond);
+  credited.network->ResetLoadWatermarks();
 
-  auto a = unpaced.RunJoin();
-  auto b = credited.RunJoin();
+  // Exactly the published intersection despite pacing.
+  std::set<uint64_t> expect;
+  for (uint64_t f = 0; f < 400; ++f) expect.insert(f);
+  EXPECT_EQ(credited.RunJoin(), expect);
 
-  // Identical final answers despite pacing.
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a.size(), 400u);
-
-  size_t peak_unpaced =
-      unpaced.network->LoadOf(unpaced.OwnerOf("beta")).peak_in_flight_bytes;
   size_t peak_credited =
       credited.network->LoadOf(credited.OwnerOf("beta"))
           .peak_in_flight_bytes;
-  // Unpaced, the 50-chunk burst piles up at the slow owner; credited, at
+  // Unpaced, the 50-chunk burst piled up at the slow owner; credited, at
   // most the window (plus replies in the opposite direction, which do not
   // land on this host). Demand a decisive separation, not a tuned one.
-  EXPECT_GT(peak_unpaced, 4 * peak_credited);
+  EXPECT_GT(kUnpacedPeakInFlightBytes, 4 * peak_credited);
   EXPECT_GT(credited.metrics.credits_stalled, 0u);
   EXPECT_GT(credited.metrics.credit_grants, 0u);
-  EXPECT_EQ(unpaced.metrics.credits_stalled, 0u);
   EXPECT_EQ(credited.metrics.credit_streams_expired, 0u);
   EXPECT_EQ(credited.metrics.tuples_dropped_deserialize, 0u);
 }

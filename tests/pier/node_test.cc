@@ -44,8 +44,7 @@ struct Cluster {
   PierNode* pier(size_t i) { return piers[i].get(); }
 
   void PublishPosting(size_t from, const std::string& kw, uint64_t file_id) {
-    pier(from)->Publish(InvSchema(),
-                        Tuple({Value(kw), Value(file_id)}));
+    pier(from)->PublishBatch(InvSchema(), {Tuple({Value(kw), Value(file_id)})});
   }
 
   /// Runs `plan` from node `from` to quiescence and returns its
@@ -114,12 +113,12 @@ TEST(PierNodeTest, FetchReturnsAllTuplesForKey) {
   c.PublishPosting(3, "beatles", 3);
   c.simulator.Run();
   std::vector<Tuple> got;
-  c.pier(9)->Fetch(InvSchema(), Value(std::string("beatles")),
-                   [&](Status s, std::vector<Tuple> tuples,
-                       const Completeness&) {
-                     ASSERT_TRUE(s.ok());
-                     got = std::move(tuples);
-                   });
+  c.pier(9)->FetchMany(InvSchema(), {Value(std::string("beatles"))},
+                       [&](Status s, std::vector<Tuple> tuples,
+                           const Completeness&) {
+                         ASSERT_TRUE(s.ok());
+                         got = std::move(tuples);
+                       });
   c.simulator.Run();
   EXPECT_EQ(got.size(), 3u);
 }
@@ -190,10 +189,11 @@ TEST(PierNodeTest, SubstringFilterStage) {
                    {"fileID", ValueType::kUint64},
                    {"fulltext", ValueType::kString}},
                   0);
-  c.pier(0)->Publish(ic, Tuple({Value(std::string("moon")), Value(uint64_t{1}),
-                                Value(std::string("dark side moon.mp3"))}));
-  c.pier(0)->Publish(ic, Tuple({Value(std::string("moon")), Value(uint64_t{2}),
-                                Value(std::string("blue moon swing.mp3"))}));
+  c.pier(0)->PublishBatch(
+      ic, {Tuple({Value(std::string("moon")), Value(uint64_t{1}),
+                  Value(std::string("dark side moon.mp3"))}),
+           Tuple({Value(std::string("moon")), Value(uint64_t{2}),
+                  Value(std::string("blue moon swing.mp3"))})});
   c.simulator.Run();
   // Rows are [join_key, fileID, fulltext]: the stage's payload follows
   // the join key.

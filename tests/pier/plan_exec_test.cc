@@ -207,6 +207,47 @@ TEST(PlanExecTest, LimitCapsPlanAnswers) {
   EXPECT_EQ(c.RunPlan(std::move(plan)).size(), 7u);
 }
 
+/// "alpha" {0..9} joined with "beta" {0..4}: five [join_key, payload...]
+/// rows, all narrower than column 7.
+PlanBuilder AlphaJoinBeta() {
+  PlanBuilder b;
+  b.IndexScan("inverted", Value("alpha")).RehashJoin("inverted", Value("beta"));
+  return b;
+}
+
+TEST(PlanExecTest, FinishersReadMissingColumnsAsDefaultValue) {
+  // Row widths come from the store, so CompilePlan cannot reject a
+  // finisher column past the row. Like Expr::Eval, every finisher reads
+  // such a column as Value() instead of reading past the row.
+  Cluster c(16);
+  std::vector<Tuple> inv;
+  for (uint64_t f = 0; f < 10; ++f) {
+    inv.push_back(Tuple({Value("alpha"), Value(f)}));
+  }
+  for (uint64_t f = 0; f < 5; ++f) {
+    inv.push_back(Tuple({Value("beta"), Value(f)}));
+  }
+  c.piers[0]->PublishBatch(InvSchema(), std::move(inv));
+  c.piers[0]->FlushPublishQueues();
+  c.simulator.Run();
+
+  std::vector<Tuple> top = c.RunPlan(AlphaJoinBeta().TopK(7, 3).Build());
+  ASSERT_EQ(top.size(), 3u);
+  for (const Tuple& t : top) EXPECT_LT(t.at(0).AsUint64(), 5u);
+
+  std::vector<Tuple> projected =
+      c.RunPlan(AlphaJoinBeta().Project({7}).Build());
+  ASSERT_EQ(projected.size(), 5u);
+  for (const Tuple& t : projected) EXPECT_EQ(t, Tuple({Value()}));
+
+  std::vector<Tuple> groups = c.RunPlan(
+      AlphaJoinBeta()
+          .GroupAggregate({7}, {AggregateSpec{AggregateSpec::kCount, 0}})
+          .Build());
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_EQ(groups[0], Tuple({Value(), Value(uint64_t{5})}));
+}
+
 TEST(PlanExecTest, UncompilablePlanFailsFast) {
   Cluster c(8);
   PublishCorpus(&c);

@@ -345,26 +345,5 @@ TEST(PlanWireTest, CyclicImagesAreRejected) {
   EXPECT_FALSE(QueryPlan::Deserialize(image).ok());
 }
 
-TEST(PlanCostTest, EstimateTracksChainOrder) {
-  std::map<std::string, size_t> sizes{{"a", 1000}, {"b", 5}};
-  auto size_of = [&](const std::string&, const Value& key) {
-    return sizes.at(std::string(key.AsString()));
-  };
-  QueryPlan costly = PlanBuilder()
-                         .IndexScan("inv", Value("a"))
-                         .RehashJoin("inv", Value("b"))
-                         .Build();
-  QueryPlan cheap = PlanBuilder()
-                        .IndexScan("inv", Value("b"))
-                        .RehashJoin("inv", Value("a"))
-                        .Build();
-  PlanCostEstimate big = EstimatePlanCost(costly, size_of);
-  PlanCostEstimate small = EstimatePlanCost(cheap, size_of);
-  EXPECT_EQ(big.entries_shipped, 1000u);
-  EXPECT_EQ(small.entries_shipped, 5u);
-  EXPECT_EQ(big.stage_messages, 2u);
-  EXPECT_GT(big.entries_shipped, small.entries_shipped);
-}
-
 }  // namespace
 }  // namespace pierstack::pier

@@ -159,15 +159,16 @@ TEST(RehashQueueTest, AckSpansQueuesAndFiresOnce) {
   EXPECT_EQ(c.StoredUnder("b"), 2u);
 }
 
-TEST(RehashQueueTest, DirectPublishFlushesQueuedDestinationFirst) {
-  // A queued short-expiry publish must ship BEFORE a later direct Publish
-  // of the same tuple — otherwise the stale queued expiry would roll back
-  // the refresh when the queue flushed.
+TEST(RehashQueueTest, RefreshFlushesQueuedDestinationFirst) {
+  // A queued short-expiry publish must ship BEFORE a later refresh of the
+  // same tuple with another expiry — otherwise the stale queued expiry
+  // would roll back the refresh when the queue flushed.
   Cluster c(8);
   Tuple t({Value(std::string("kw")), Value(uint64_t{1})});
   c.piers[0]->PublishBatch(InvSchema(), {t}, /*expiry=*/100 * sim::kMillisecond);
-  c.piers[0]->Publish(InvSchema(), t, /*expiry=*/0);  // refresh: permanent
+  c.piers[0]->PublishBatch(InvSchema(), {t}, /*expiry=*/0);  // permanent
   c.simulator.RunUntil(5 * sim::kSecond);
+  EXPECT_EQ(c.metrics.publish_messages, 2u);  // the expiry change split it
   EXPECT_EQ(c.StoredUnder("kw"), 1u);  // survived well past 100ms
 }
 

@@ -15,36 +15,6 @@ std::vector<Tuple> Rows(std::initializer_list<uint64_t> keys) {
   return out;
 }
 
-TEST(DistinctTest, RemovesExactDuplicates) {
-  Distinct d(std::make_unique<VectorScan>(Rows({1, 2, 1, 3, 2, 1})));
-  auto got = Collect(&d);
-  EXPECT_EQ(got.size(), 3u);
-}
-
-TEST(DistinctTest, KeepsFirstOccurrenceOrder) {
-  Distinct d(std::make_unique<VectorScan>(Rows({5, 3, 5, 9})));
-  auto got = Collect(&d);
-  ASSERT_EQ(got.size(), 3u);
-  EXPECT_EQ(got[0].at(0).AsUint64(), 5u);
-  EXPECT_EQ(got[1].at(0).AsUint64(), 3u);
-  EXPECT_EQ(got[2].at(0).AsUint64(), 9u);
-}
-
-TEST(DistinctTest, MultiColumnTuplesComparedFully) {
-  std::vector<Tuple> rows{
-      Tuple({Value(uint64_t{1}), Value(std::string("a"))}),
-      Tuple({Value(uint64_t{1}), Value(std::string("b"))}),
-      Tuple({Value(uint64_t{1}), Value(std::string("a"))}),
-  };
-  Distinct d(std::make_unique<VectorScan>(std::move(rows)));
-  EXPECT_EQ(Collect(&d).size(), 2u);
-}
-
-TEST(DistinctTest, EmptyInput) {
-  Distinct d(std::make_unique<VectorScan>(std::vector<Tuple>{}));
-  EXPECT_TRUE(Collect(&d).empty());
-}
-
 TEST(TopKTest, DescendingTakesLargest) {
   TopK top(std::make_unique<VectorScan>(Rows({5, 1, 9, 3, 7})), 0, 3,
            /*descending=*/true);
@@ -102,19 +72,6 @@ TEST_P(TopKProperty, MatchesSortTruncate) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TopKProperty,
                          ::testing::Values(11, 22, 33, 44, 55, 66));
-
-TEST(TopKTest, ComposesWithDistinct) {
-  // Distinct result sizes, best three: mirrors "top results" UI plans.
-  auto distinct =
-      std::make_unique<Distinct>(std::make_unique<VectorScan>(
-          Rows({4, 4, 9, 1, 9, 6})));
-  TopK top(std::move(distinct), 0, 3, true);
-  auto got = Collect(&top);
-  ASSERT_EQ(got.size(), 3u);
-  EXPECT_EQ(got[0].at(0).AsUint64(), 9u);
-  EXPECT_EQ(got[1].at(0).AsUint64(), 6u);
-  EXPECT_EQ(got[2].at(0).AsUint64(), 4u);
-}
 
 }  // namespace
 }  // namespace pierstack::pier

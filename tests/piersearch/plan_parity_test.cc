@@ -192,11 +192,11 @@ TEST(PlanParityTest, FetchItemsHonorsQueryTimeout) {
   // must fail the query at its own deadline instead of riding the DHT's
   // 10-second progress watchdog past it.
   uint64_t id = 42;
-  c.pier(0)->Publish(
+  c.pier(0)->PublishBatch(
       ItemSchema(),
-      pier::Tuple({pier::Value(id), pier::Value("slow file.mp3"),
-                   pier::Value(uint64_t{100}), pier::Value(uint64_t{9}),
-                   pier::Value(uint64_t{6346})}));
+      {pier::Tuple({pier::Value(id), pier::Value("slow file.mp3"),
+                    pier::Value(uint64_t{100}), pier::Value(uint64_t{9}),
+                    pier::Value(uint64_t{6346})})});
   c.simulator.Run();
   dht::Key k = HashCombine(Fnv1a64(ItemSchema().table_name()),
                            pier::Value(id).Hash());

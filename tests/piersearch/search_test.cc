@@ -295,14 +295,15 @@ TEST(PierSearchTest, FetchItemsDedupesBeforeTruncating) {
   Cluster c(16);
   // Two distinct items, fetched with duplicated join keys and a cap of 2:
   // without dedupe-first, {1, 1} would evict item 2 at the truncation.
+  std::vector<pier::Tuple> items;
   for (uint64_t id : {uint64_t{1}, uint64_t{2}}) {
-    c.pier(0)->Publish(
-        ItemSchema(),
+    items.push_back(
         pier::Tuple({pier::Value(id),
                      pier::Value("file" + std::to_string(id) + ".mp3"),
                      pier::Value(uint64_t{100}), pier::Value(uint64_t{9}),
                      pier::Value(uint64_t{6346})}));
   }
+  c.pier(0)->PublishBatch(ItemSchema(), std::move(items));
   c.simulator.Run();
   SearchEngine engine(c.pier(2));
   SearchOptions opts;
