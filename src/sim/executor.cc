@@ -1,6 +1,7 @@
 #include "sim/executor.h"
 
 #include <cassert>
+#include <cstdio>
 #include <cstdlib>
 
 #include "sim/shard.h"
@@ -8,17 +9,48 @@
 namespace pierstack::sim {
 namespace detail {
 
-void CanonicalQueue::Push(CanonicalEvent ev) {
-  if (ev.id != kInvalidEventId) live_ids_.insert(ev.id);
-  heap_.push(std::move(ev));
+EventId CanonicalQueue::Push(CanonicalEvent ev) {
+  uint32_t index;
+  if (!free_slots_.empty()) {
+    index = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    // The slot index must fit its handle field; a check in every build.
+    if (slots_.size() == kMaxSlots) {
+      std::fprintf(stderr, "sim::CanonicalQueue: more than %u events held\n",
+                   kMaxSlots);
+      std::abort();
+    }
+    index = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  Slot& slot = slots_[index];
+  slot.fn = std::move(ev.fn);
+  slot.owner = ev.owner;
+  slot.live = true;
+  heap_.push(QueueKey{ev.time, ev.origin, index, ev.origin_seq});
   ++live_;
+  return (EventId{slot.generation} << kSlotBits) | index;
+}
+
+void CanonicalQueue::Free(uint32_t index) {
+  Slot& slot = slots_[index];
+  // Destroyed on return, after the bookkeeping: a captured object's
+  // destructor may schedule, which may grow slots_.
+  std::function<void()> dead = std::move(slot.fn);
+  slot.live = false;
+  // Any handle to the old occupant stops matching; 0 is skipped so that no
+  // handle is ever kInvalidEventId.
+  if (++slot.generation == 0) slot.generation = 1;
+  free_slots_.push_back(index);
 }
 
 void CanonicalQueue::SkipCancelled() {
   while (!heap_.empty()) {
-    EventId id = heap_.top().id;
-    if (id == kInvalidEventId || live_ids_.count(id) != 0) return;
+    uint32_t index = heap_.top().slot;
+    if (slots_[index].live) return;
     heap_.pop();
+    Free(index);
   }
 }
 
@@ -29,18 +61,25 @@ bool CanonicalQueue::PopUpTo(SimTime bound, CanonicalEvent* out) {
   return true;
 }
 
-const CanonicalEvent* CanonicalQueue::Peek() {
+const QueueKey* CanonicalQueue::Peek() {
   SkipCancelled();
   return heap_.empty() ? nullptr : &heap_.top();
 }
 
 CanonicalEvent CanonicalQueue::PopTop() {
-  // The container element is not actually const; moving the closure out
-  // before pop avoids a per-event std::function copy. The comparator only
-  // reads the trivially-copied key fields, which a move leaves intact.
-  CanonicalEvent ev = std::move(const_cast<CanonicalEvent&>(heap_.top()));
+  const QueueKey& key = heap_.top();
+  Slot& slot = slots_[key.slot];
+  CanonicalEvent ev;
+  ev.time = key.time;
+  ev.origin_seq = key.origin_seq;
+  ev.origin = key.origin;
+  ev.owner = slot.owner;
+  // The closure leaves its slot before it runs: a handler that schedules may
+  // grow slots_ and move every slot.
+  ev.fn = std::move(slot.fn);
+  uint32_t index = key.slot;
   heap_.pop();
-  if (ev.id != kInvalidEventId) live_ids_.erase(ev.id);
+  Free(index);
   --live_;
   return ev;
 }
@@ -52,9 +91,13 @@ bool CanonicalQueue::PeekTime(SimTime* t) {
   return true;
 }
 
-bool CanonicalQueue::Cancel(EventId id) {
-  // Lazy deletion: forget the id; its heap entry is skipped when popped.
-  if (id == kInvalidEventId || live_ids_.erase(id) == 0) return false;
+bool CanonicalQueue::Cancel(EventId handle) {
+  uint64_t index = handle & (kMaxSlots - 1);
+  if (index >= slots_.size()) return false;
+  Slot& slot = slots_[index];
+  if (!slot.live || (handle >> kSlotBits) != slot.generation) return false;
+  // Lazy deletion: the key stays queued and frees the slot when it surfaces.
+  slot.live = false;
   --live_;
   return true;
 }
@@ -64,16 +107,10 @@ bool CanonicalQueue::Cancel(EventId id) {
 EventId SerialExecutor::ScheduleAt(HostId owner, SimTime t,
                                    std::function<void()> fn) {
   assert(t >= now_);
-  EventId id = next_id_++;
-  detail::CanonicalEvent ev;
-  ev.time = t;
-  ev.origin = current_origin_;
-  ev.origin_seq = origin_seq_[current_origin_]++;
-  ev.owner = owner;
-  ev.id = id;
-  ev.fn = std::move(fn);
-  queue_.Push(std::move(ev));
-  return id;
+  uint64_t seq = current_origin_ == kDriverHost
+                     ? driver_seq_++
+                     : detail::NextOriginSeq(&origin_seq_, current_origin_);
+  return queue_.Push({t, seq, current_origin_, owner, std::move(fn)});
 }
 
 bool SerialExecutor::Cancel(EventId id) { return queue_.Cancel(id); }

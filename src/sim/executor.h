@@ -26,8 +26,6 @@
 #include <functional>
 #include <memory>
 #include <queue>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace pierstack::sim {
@@ -108,19 +106,28 @@ class Executor {
 
 namespace detail {
 
-/// An event keyed for canonical cross-backend ordering.
+/// An event on its way into or out of a CanonicalQueue (and the payload of
+/// ShardedExecutor's cross-shard mailboxes).
 struct CanonicalEvent {
   SimTime time = 0;
-  HostId origin = kDriverHost;  ///< Host whose handler scheduled it.
   uint64_t origin_seq = 0;      ///< Monotonic per-origin at schedule time.
+  HostId origin = kDriverHost;  ///< Host whose handler scheduled it.
   HostId owner = kDriverHost;   ///< Host whose state the handler touches.
-  EventId id = kInvalidEventId;  ///< 0 = not cancellable.
   std::function<void()> fn;
+};
+
+/// What the heap orders: an event's canonical key plus the index of the
+/// slot that holds its closure and owner.
+struct QueueKey {
+  SimTime time;
+  HostId origin;
+  uint32_t slot;
+  uint64_t origin_seq;
 };
 
 /// Min-heap order on the canonical key (time, origin, origin_seq).
 struct CanonicalLater {
-  bool operator()(const CanonicalEvent& a, const CanonicalEvent& b) const {
+  bool operator()(const QueueKey& a, const QueueKey& b) const {
     if (a.time != b.time) return a.time > b.time;
     if (a.origin != b.origin) return a.origin > b.origin;
     return a.origin_seq > b.origin_seq;
@@ -128,36 +135,81 @@ struct CanonicalLater {
 };
 
 /// Priority queue over canonical keys with lazy cancellation, shared by
-/// SerialExecutor (one queue) and ShardedExecutor (one per shard).
-/// Cancellable events are tracked by id while they are live (queued and
-/// neither run nor cancelled); a heap entry whose id left that set is
-/// skipped when it surfaces.
+/// SerialExecutor (one queue) and ShardedExecutor (one per shard, plus one
+/// for driver events).
+///
+/// Storage: the binary heap holds only 24-byte QueueKeys. Each event's
+/// closure and owner live in a slot of `slots_`, recycled through a free
+/// list, so sifting the heap never moves a std::function.
+///
+/// Handles: Push returns the event's cancel handle, laid out as
+///
+///   bits 63..56   bits 55..24        bits 23..0
+///   zero          slot generation    slot index
+///
+/// The top 8 bits stay zero, so ShardedExecutor can shift an 8-bit shard
+/// tag in beneath a handle without losing a bit. A slot's generation
+/// changes every time the slot is freed, and Cancel compares both fields, so
+/// a handle outlives its event harmlessly: once the event ran or its
+/// cancelled key surfaced, the handle misses the slot's later occupants (a
+/// generation repeats only after 2^32 - 1 reuses of one slot). Generations
+/// start at 1 and skip 0, so no handle equals kInvalidEventId. A
+/// queue holds at most kMaxSlots slots at once; Push aborts past that in
+/// every build type, since a wider index would no longer fit the handle.
+///
+/// Lazy cancellation: Cancel only marks the slot dead; its key stays in the
+/// heap and is skipped when it surfaces at the top. Only then does the slot
+/// return to the free list. Freeing it at Cancel time would let a new event
+/// take the slot while the old key still names it, and that key would
+/// surface at the old time and run (or skip) the new occupant's closure.
 class CanonicalQueue {
  public:
-  void Push(CanonicalEvent ev);
+  static constexpr uint32_t kSlotBits = 24;
+  static constexpr uint32_t kGenerationBits = 32;
+  static constexpr uint32_t kHandleBits = kSlotBits + kGenerationBits;
+  static constexpr uint32_t kMaxSlots = uint32_t{1} << kSlotBits;
+
+  /// Queues `ev` and returns its cancel handle (never kInvalidEventId).
+  EventId Push(CanonicalEvent ev);
   /// Pops the minimum live event into `out` if its time <= bound.
   /// Returns false when the queue is empty or the minimum is later.
   bool PopUpTo(SimTime bound, CanonicalEvent* out);
-  /// Earliest live event, or nullptr when empty. Valid until the next
-  /// mutating call.
-  const CanonicalEvent* Peek();
-  /// Pops and returns the earliest live event (queue must be non-empty).
+  /// Key of the earliest live event, or nullptr when empty. Valid until the
+  /// next mutating call.
+  const QueueKey* Peek();
+  /// Pops and returns the earliest event. Call only after Peek or PeekTime
+  /// found one: they skip the cancelled keys above it.
   CanonicalEvent PopTop();
   /// Time of the earliest live event; false when empty.
   bool PeekTime(SimTime* t);
-  /// Drops a live event. False for an id that already ran, was cancelled
-  /// before, or was never pushed here.
-  bool Cancel(EventId id);
+  /// Drops a live event. False for a handle whose event already ran, was
+  /// cancelled before, or was never issued by this queue.
+  bool Cancel(EventId handle);
   size_t pending() const { return live_; }
 
  private:
+  struct Slot {
+    std::function<void()> fn;
+    HostId owner = kDriverHost;
+    uint32_t generation = 1;
+    bool live = false;  ///< Queued, not yet run or cancelled.
+  };
+
   void SkipCancelled();
-  std::priority_queue<CanonicalEvent, std::vector<CanonicalEvent>,
-                      CanonicalLater>
-      heap_;
-  std::unordered_set<EventId> live_ids_;  ///< Cancellable and still due.
-  size_t live_ = 0;  ///< Live events, cancellable or not.
+  void Free(uint32_t slot);
+
+  std::priority_queue<QueueKey, std::vector<QueueKey>, CanonicalLater> heap_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
+  size_t live_ = 0;  ///< Live events (queued, neither run nor cancelled).
 };
+
+/// Next canonical sequence number of real host `origin`, from a counter
+/// vector indexed by host (the driver origin keeps its own counter).
+inline uint64_t NextOriginSeq(std::vector<uint64_t>* seqs, HostId origin) {
+  if (origin >= seqs->size()) seqs->resize(size_t{origin} + 1, 0);
+  return (*seqs)[origin]++;
+}
 
 }  // namespace detail
 
@@ -185,8 +237,8 @@ class SerialExecutor : public Executor {
   SimTime now_ = 0;
   HostId current_origin_ = kDriverHost;  ///< Context assigning child keys.
   detail::CanonicalQueue queue_;
-  std::unordered_map<HostId, uint64_t> origin_seq_;
-  EventId next_id_ = 1;
+  std::vector<uint64_t> origin_seq_;  ///< Per real host, index = HostId.
+  uint64_t driver_seq_ = 0;           ///< The kDriverHost origin's counter.
   uint64_t executed_ = 0;
 };
 

@@ -286,6 +286,10 @@ void ExportNetworkCounters(const Network& net, CounterSet* out) {
   out->Set("net.bytes", m.total.bytes);
   out->Set("net.dropped_messages", m.dropped_messages);
   out->Set("net.refused_sends", m.refused_sends);
+  for (const auto& [tag, c] : m.by_tag) {
+    out->Set("net.tag." + tag + ".messages", c.messages);
+    out->Set("net.tag." + tag + ".bytes", c.bytes);
+  }
   if (const FaultPlan* plan = net.fault_plan()) {
     const FaultCounters& f = plan->counters();
     out->Set("net.fault_loss_drops", f.loss_drops);

@@ -312,9 +312,11 @@ class Network {
   FaultPlan* faults_ = nullptr;  ///< Non-owning; null = no fault injection.
 };
 
-/// Surfaces the network drop/traffic counters — and, when a FaultPlan is
-/// attached, the injected-fault counters — into a CounterSet under "net."
-/// names (the cross-layer reporting currency, see common/stats.h).
+/// Surfaces the network drop/traffic counters, the per-tag traffic as
+/// "net.tag.<tag>.messages" and "net.tag.<tag>.bytes", and — when a
+/// FaultPlan is attached — the injected-fault counters into a CounterSet
+/// under "net." names (the cross-layer reporting currency, see
+/// common/stats.h).
 void ExportNetworkCounters(const Network& net, CounterSet* out);
 
 }  // namespace pierstack::sim

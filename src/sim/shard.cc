@@ -12,19 +12,23 @@ namespace {
 thread_local const void* tls_exec = nullptr;
 thread_local uint32_t tls_shard_idx = 0;
 
-constexpr uint32_t kDriverSlot = 0xFE;
-constexpr uint32_t kSlotBits = 8;
-constexpr uint32_t kSlotMask = 0xFF;
+// An EventId is a queue's cancel handle shifted up past an 8-bit tag naming
+// the queue: the worker shard's index, or kDriverTag for the driver queue.
+constexpr uint32_t kDriverTag = 0xFE;
+constexpr uint32_t kTagBits = 8;
+constexpr uint32_t kTagMask = 0xFF;
+static_assert(detail::CanonicalQueue::kHandleBits + kTagBits <= 64,
+              "a tagged queue handle must fit an EventId");
 
-EventId MakeId(uint32_t slot, uint64_t counter) {
-  return (counter << kSlotBits) | slot;
+EventId Tagged(uint32_t tag, EventId handle) {
+  return (handle << kTagBits) | tag;
 }
 
 }  // namespace
 
 ShardedExecutor::ShardedExecutor(Options opts)
     : nshards_(opts.shards), lookahead_(opts.lookahead) {
-  assert(nshards_ >= 1 && nshards_ < kDriverSlot);
+  assert(nshards_ >= 1 && nshards_ < kDriverTag);
   assert(lookahead_ > 0);
   shards_.reserve(nshards_);
   for (uint32_t i = 0; i < nshards_; ++i) {
@@ -63,7 +67,7 @@ uint32_t ShardedExecutor::CurrentSlab() const {
 
 uint64_t ShardedExecutor::NextSeqFor(HostId origin) {
   if (origin == kDriverHost) return driver_seq_++;
-  return shards_[ShardOf(origin)]->origin_seq[origin]++;
+  return detail::NextOriginSeq(&shards_[ShardOf(origin)]->origin_seq, origin);
 }
 
 EventId ShardedExecutor::ScheduleAt(HostId owner, SimTime t,
@@ -77,7 +81,7 @@ EventId ShardedExecutor::ScheduleAt(HostId owner, SimTime t,
     Shard* s = shards_[tls_shard_idx].get();
     assert(t >= s->clock);
     ev.origin = s->current_origin;
-    ev.origin_seq = s->origin_seq[ev.origin]++;
+    ev.origin_seq = detail::NextOriginSeq(&s->origin_seq, ev.origin);
     if (owner == kDriverHost) {
       std::lock_guard<std::mutex> lock(driver_inbox_.mu);
       driver_inbox_.events.push_back(std::move(ev));
@@ -85,10 +89,7 @@ EventId ShardedExecutor::ScheduleAt(HostId owner, SimTime t,
     }
     uint32_t dst = ShardOf(owner);
     if (dst == s->index) {
-      EventId id = MakeId(s->index, s->next_local_id++);
-      ev.id = id;
-      s->queue.Push(std::move(ev));
-      return id;
+      return Tagged(s->index, s->queue.Push(std::move(ev)));
     }
     // Cross-shard handoff: parked in the mailbox until the barrier. Not
     // cancellable — only fire-and-forget message deliveries take this
@@ -104,30 +105,25 @@ EventId ShardedExecutor::ScheduleAt(HostId owner, SimTime t,
   ev.origin = in_driver_phase_ ? coord_origin_ : kDriverHost;
   ev.origin_seq = NextSeqFor(ev.origin);
   if (owner == kDriverHost) {
-    EventId id = MakeId(kDriverSlot, driver_next_id_++);
-    ev.id = id;
-    driver_queue_.Push(std::move(ev));
-    return id;
+    return Tagged(kDriverTag, driver_queue_.Push(std::move(ev)));
   }
   Shard* s = shards_[ShardOf(owner)].get();
-  EventId id = MakeId(s->index, s->next_local_id++);
-  ev.id = id;
-  s->queue.Push(std::move(ev));
-  return id;
+  return Tagged(s->index, s->queue.Push(std::move(ev)));
 }
 
 bool ShardedExecutor::Cancel(EventId id) {
   if (id == kInvalidEventId) return false;
-  uint32_t slot = static_cast<uint32_t>(id & kSlotMask);
-  if (slot == kDriverSlot) {
+  uint32_t tag = static_cast<uint32_t>(id & kTagMask);
+  EventId handle = id >> kTagBits;
+  if (tag == kDriverTag) {
     assert(tls_exec != this);  // driver events cancel from driver context
-    return driver_queue_.Cancel(id);
+    return driver_queue_.Cancel(handle);
   }
-  if (slot >= nshards_) return false;  // never issued by this executor
+  if (tag >= nshards_) return false;  // never issued by this executor
   // Only the owning shard's thread, or exclusive driver context, may
   // touch that shard's queue.
-  assert(tls_exec != this || tls_shard_idx == slot);
-  return shards_[slot]->queue.Cancel(id);
+  assert(tls_exec != this || tls_shard_idx == tag);
+  return shards_[tag]->queue.Cancel(handle);
 }
 
 void ShardedExecutor::WorkerLoop(Shard* shard) {
@@ -183,14 +179,18 @@ void ShardedExecutor::DrainMailboxes(SimTime window_end) {
   driver_inbox_.events.clear();
 }
 
-size_t ShardedExecutor::RunEpoch(SimTime bound) {
+size_t ShardedExecutor::RunEpoch(SimTime bound, bool driver_due) {
   uint64_t before = driver_executed_;
   for (const auto& shard : shards_) before += shard->executed;
 
-  // Parallel phase: every shard drains its queue up to the bound.
-  {
+  // Parallel phase: every shard drains its queue up to the bound. With a
+  // driver event due at the bound, the shards stop short of that instant:
+  // host events sharing its time may sort on either side of it (a
+  // driver-origin event scheduled after it sorts after it), so the merged
+  // loop runs the whole instant.
+  if (!driver_due || bound > 0) {
     std::unique_lock<std::mutex> lock(epoch_mu_);
-    epoch_bound_ = bound;
+    epoch_bound_ = driver_due ? bound - 1 : bound;
     workers_done_ = 0;
     ++epoch_gen_;
     epoch_cv_.notify_all();
@@ -199,19 +199,19 @@ size_t ShardedExecutor::RunEpoch(SimTime bound) {
   DrainMailboxes(bound);
 
   // Merged driver loop: any driver events due in this window run now, with
-  // the workers parked — plus whatever they spawn back inside the window
-  // (zero-delay joins, crash cleanup), in global canonical order, exactly
-  // as SerialExecutor interleaves them.
+  // the workers parked — plus the host events of their instant and whatever
+  // they spawn back inside the window (zero-delay joins, crash cleanup), in
+  // global canonical order, exactly as SerialExecutor interleaves them.
   in_driver_phase_ = true;
   for (;;) {
     detail::CanonicalQueue* best = nullptr;
-    const detail::CanonicalEvent* best_ev = nullptr;
+    const detail::QueueKey* best_key = nullptr;
     auto consider = [&](detail::CanonicalQueue* q) {
-      const detail::CanonicalEvent* e = q->Peek();
-      if (e == nullptr || e->time > bound) return;
-      if (best_ev == nullptr || detail::CanonicalLater{}(*best_ev, *e)) {
+      const detail::QueueKey* k = q->Peek();
+      if (k == nullptr || k->time > bound) return;
+      if (best_key == nullptr || detail::CanonicalLater{}(*best_key, *k)) {
         best = q;
-        best_ev = e;
+        best_key = k;
       }
     };
     consider(&driver_queue_);
@@ -255,10 +255,10 @@ size_t ShardedExecutor::RunCore(SimTime t_limit, size_t limit) {
     SimTime bound = (e_min / lookahead_ + 1) * lookahead_ - 1;
     if (t_limit < bound) bound = t_limit;
     SimTime t_driver;
-    if (driver_queue_.PeekTime(&t_driver) && t_driver < bound) {
-      bound = t_driver;
-    }
-    total += RunEpoch(bound);
+    bool driver_due =
+        driver_queue_.PeekTime(&t_driver) && t_driver <= bound;
+    if (driver_due) bound = t_driver;
+    total += RunEpoch(bound, driver_due);
   }
   return total;
 }

@@ -20,10 +20,15 @@
 //
 // Driver events (owner == kDriverHost: churn timelines, harness timers)
 // may touch any host, so they are a barrier of their own: the window is
-// cut at the next driver-event time and the coordinator runs a merged
-// canonical loop — the due driver events plus everything they spawn inside
-// the window — serially, with all workers parked. That reproduces the
-// serial backend's ordering around topology mutations exactly.
+// cut at the next driver-event time, the shards run only up to just before
+// it, and the coordinator runs a merged canonical loop — every event of
+// that instant, driver or host, plus everything they spawn inside the
+// window — serially, with all workers parked. That reproduces the serial
+// backend's ordering around topology mutations exactly.
+//
+// Event ids: a shard's (or the driver queue's) CanonicalQueue issues a
+// 56-bit cancel handle (executor.h), and the EventId is that handle shifted
+// up past an 8-bit tag naming the queue, so Cancel routes by the tag.
 #pragma once
 
 #include <condition_variable>
@@ -81,8 +86,7 @@ class ShardedExecutor : public Executor {
     detail::CanonicalQueue queue;
     SimTime clock = 0;  ///< Time of the last executed event on this shard.
     HostId current_origin = kDriverHost;
-    std::unordered_map<HostId, uint64_t> origin_seq;
-    uint64_t next_local_id = 1;
+    std::vector<uint64_t> origin_seq;  ///< Per host of this shard, by HostId.
     uint64_t executed = 0;
     /// outbox[d]: events this shard scheduled for shard d (d != index).
     std::vector<std::unique_ptr<Mailbox>> outbox;
@@ -92,8 +96,10 @@ class ShardedExecutor : public Executor {
   void WorkerLoop(Shard* shard);
   void RunShardEpoch(Shard* shard, SimTime bound);
   /// Runs one barrier epoch ending at `bound` (inclusive): parallel shard
-  /// phase, mailbox drain, then the merged driver loop. Returns events run.
-  size_t RunEpoch(SimTime bound);
+  /// phase, mailbox drain, then the merged driver loop. `driver_due` says a
+  /// driver event is due at `bound`; the merged loop then runs that whole
+  /// instant. Returns events run.
+  size_t RunEpoch(SimTime bound, bool driver_due);
   /// The main loop shared by Run/RunUntil: epochs while events <= t_limit
   /// remain (and fewer than `limit` ran). Exclusive (driver) context.
   size_t RunCore(SimTime t_limit, size_t limit);
@@ -108,7 +114,6 @@ class ShardedExecutor : public Executor {
   // under driver_inbox_.mu (worker-scheduled driver events).
   detail::CanonicalQueue driver_queue_;
   Mailbox driver_inbox_;
-  uint64_t driver_next_id_ = 1;
   uint64_t driver_seq_ = 0;
   uint64_t driver_executed_ = 0;
   SimTime horizon_ = 0;       ///< Global clock between epochs.

@@ -65,6 +65,14 @@ TEST_F(NetworkTest, MetricsCountMessagesAndBytes) {
   EXPECT_EQ(net.metrics().by_tag.at("query").messages, 2u);
   EXPECT_EQ(net.metrics().by_tag.at("query").bytes, 150u);
   EXPECT_EQ(net.metrics().by_tag.at("reply").bytes, 25u);
+
+  CounterSet out;
+  ExportNetworkCounters(net, &out);
+  EXPECT_EQ(out.Value("net.tag.query.messages"), 2u);
+  EXPECT_EQ(out.Value("net.tag.query.bytes"), 150u);
+  EXPECT_EQ(out.Value("net.tag.reply.messages"), 1u);
+  EXPECT_EQ(out.Value("net.tag.reply.bytes"), 25u);
+  EXPECT_FALSE(out.Has("net.tag.x.messages"));
 }
 
 TEST_F(NetworkTest, MetricsReset) {
