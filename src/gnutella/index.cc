@@ -2,9 +2,18 @@
 
 #include <algorithm>
 
+#include "common/hashing.h"
 #include "common/tokenizer.h"
 
 namespace pierstack::gnutella {
+
+namespace {
+
+uint64_t TermHash(std::string_view text) { return Mix64(Fnv1a64(text)); }
+
+uint32_t Tag(uint64_t h) { return static_cast<uint32_t>(h >> 32); }
+
+}  // namespace
 
 void KeywordIndex::Add(const SharedFile& file, sim::HostId owner) {
   uint32_t idx = static_cast<uint32_t>(entries_.size());
@@ -12,7 +21,7 @@ void KeywordIndex::Add(const SharedFile& file, sim::HostId owner) {
                            owner});
   ++live_entries_;
   for (const auto& term : ExtractUniqueKeywords(file.filename)) {
-    postings_[term].push_back(idx);
+    InternTerm(term).postings.push_back(idx);
   }
 }
 
@@ -33,33 +42,34 @@ void KeywordIndex::RemoveOwner(sim::HostId owner) {
 std::vector<const KeywordIndex::Entry*> KeywordIndex::Match(
     const std::vector<std::string>& query_terms) const {
   std::vector<const Entry*> out;
-  // Keep only indexable terms; an all-stop-word query matches nothing.
-  std::vector<std::string> terms;
+  // One probe per indexable term. Stop words are never indexed, so the
+  // stop-word check only runs on a miss: a missing stop word is skipped,
+  // any other missing term means nothing can match.
+  std::vector<const std::vector<uint32_t>*> lists;
   const auto& stop = DefaultStopWords();
   for (const auto& t : query_terms) {
-    if (t.size() < 2 || stop.count(t)) continue;
-    terms.push_back(t);
+    if (t.size() < 2) continue;
+    const Term* term = FindTerm(t, TermHash(t));
+    if (term != nullptr) {
+      lists.push_back(&term->postings);
+    } else if (!stop.count(t)) {
+      return out;
+    }
   }
-  if (terms.empty()) return out;
+  if (lists.empty()) return out;
 
   // Start from the shortest posting list (the paper's smaller-posting-
   // lists-first optimization applies locally too).
-  std::sort(terms.begin(), terms.end(),
-            [this](const std::string& a, const std::string& b) {
-              return PostingListSize(a) < PostingListSize(b);
+  std::sort(lists.begin(), lists.end(),
+            [](const std::vector<uint32_t>* a, const std::vector<uint32_t>* b) {
+              return a->size() < b->size();
             });
-  auto first = postings_.find(terms[0]);
-  if (first == postings_.end()) return out;
-
   std::vector<uint32_t> candidates;
-  for (uint32_t idx : first->second) {
+  for (uint32_t idx : *lists[0]) {
     if (Live(idx)) candidates.push_back(idx);
   }
-  for (size_t t = 1; t < terms.size() && !candidates.empty(); ++t) {
-    auto it = postings_.find(terms[t]);
-    if (it == postings_.end()) return {};
-    // Posting lists are sorted by construction (append order).
-    const auto& list = it->second;
+  for (size_t t = 1; t < lists.size() && !candidates.empty(); ++t) {
+    const auto& list = *lists[t];
     std::vector<uint32_t> next;
     next.reserve(candidates.size());
     std::set_intersection(candidates.begin(), candidates.end(), list.begin(),
@@ -77,8 +87,8 @@ std::vector<const KeywordIndex::Entry*> KeywordIndex::MatchText(
 }
 
 size_t KeywordIndex::PostingListSize(const std::string& term) const {
-  auto it = postings_.find(term);
-  return it == postings_.end() ? 0 : it->second.size();
+  const Term* t = FindTerm(term, TermHash(term));
+  return t == nullptr ? 0 : t->postings.size();
 }
 
 std::vector<const KeywordIndex::Entry*> KeywordIndex::AllEntries() const {
@@ -88,6 +98,44 @@ std::vector<const KeywordIndex::Entry*> KeywordIndex::AllEntries() const {
     if (e.owner != sim::kInvalidHost) out.push_back(&e);
   }
   return out;
+}
+
+const KeywordIndex::Term* KeywordIndex::FindTerm(std::string_view text,
+                                                 uint64_t h) const {
+  if (slots_.empty()) return nullptr;
+  size_t mask = slots_.size() - 1;
+  uint32_t tag = Tag(h);
+  for (size_t s = h & mask; slots_[s].term1 != 0; s = (s + 1) & mask) {
+    if (slots_[s].tag != tag) continue;
+    const Term& term = terms_[slots_[s].term1 - 1];
+    if (term.text == text) return &term;
+  }
+  return nullptr;
+}
+
+KeywordIndex::Term& KeywordIndex::InternTerm(std::string_view text) {
+  uint64_t h = TermHash(text);
+  if (const Term* found = FindTerm(text, h)) {
+    return terms_[found - terms_.data()];
+  }
+  if ((terms_.size() + 1) * 2 > slots_.size()) GrowSlots();
+  terms_.push_back(Term{std::string(text), {}});
+  Place(h, static_cast<uint32_t>(terms_.size()));
+  return terms_.back();
+}
+
+void KeywordIndex::Place(uint64_t h, uint32_t term1) {
+  size_t mask = slots_.size() - 1;
+  size_t s = h & mask;
+  while (slots_[s].term1 != 0) s = (s + 1) & mask;
+  slots_[s] = Slot{Tag(h), term1};
+}
+
+void KeywordIndex::GrowSlots() {
+  slots_.assign(slots_.empty() ? 16 : slots_.size() * 2, Slot{0, 0});
+  for (uint32_t i = 0; i < terms_.size(); ++i) {
+    Place(TermHash(terms_[i].text), i + 1);
+  }
 }
 
 }  // namespace pierstack::gnutella

@@ -4,11 +4,21 @@
 // its leaves published. Matching is conjunctive keyword match: a file
 // matches iff every query keyword appears among the file's keywords
 // (tokenized and stop-word-filtered identically on both sides).
+//
+// Layout: entries and terms live in dense vectors; each term owns its
+// posting list (entry indices, ascending by construction). Terms are found
+// through a linear-probing slot table kept at load <= 1/2, whose slots
+// carry the top 32 bits of the term hash so a probe compares term text
+// only on a tag hit — a miss never touches a term or its postings. Terms
+// are never deleted: RemoveOwner only tombstones entries, whose indices
+// stay in the posting lists (PostingListSize counts them), so the slot
+// table is insert-only and probing needs no tombstones (the idiom of
+// pier::JoinTable).
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "gnutella/types.h"
@@ -34,9 +44,10 @@ class KeywordIndex {
   /// Removes every entry owned by `owner` (leaf disconnect). O(index).
   void RemoveOwner(sim::HostId owner);
 
-  /// All entries matching every term in `query_terms` (terms must already
-  /// be tokenized/lower-cased; stop words are ignored). An empty term list
-  /// matches nothing — Gnutella drops empty queries.
+  /// All live entries matching every term in `query_terms`, in ascending
+  /// entry (insertion) order. Terms must already be tokenized/lower-cased;
+  /// stop words and one-character terms are ignored. A term list with no
+  /// indexable term matches nothing — Gnutella drops empty queries.
   std::vector<const Entry*> Match(
       const std::vector<std::string>& query_terms) const;
 
@@ -44,7 +55,8 @@ class KeywordIndex {
   std::vector<const Entry*> MatchText(const std::string& query_text) const;
 
   /// Number of posting-list entries that a lookup of `term` would scan —
-  /// the local analogue of the paper's posting-list length.
+  /// the local analogue of the paper's posting-list length. Tombstoned
+  /// entries still count.
   size_t PostingListSize(const std::string& term) const;
 
   size_t num_entries() const { return live_entries_; }
@@ -53,8 +65,26 @@ class KeywordIndex {
   std::vector<const Entry*> AllEntries() const;
 
  private:
-  std::vector<Entry> entries_;             // tombstoned via owner==kInvalidHost
-  std::unordered_map<std::string, std::vector<uint32_t>> postings_;
+  struct Term {
+    std::string text;
+    std::vector<uint32_t> postings;  // entry indices, ascending
+  };
+  struct Slot {
+    uint32_t tag;    // top 32 bits of the term hash
+    uint32_t term1;  // 1-based index into terms_; 0 = empty
+  };
+
+  /// The term `text` (hashed to `h`), or nullptr if it was never indexed.
+  const Term* FindTerm(std::string_view text, uint64_t h) const;
+  /// The term `text`, created with an empty posting list if absent.
+  Term& InternTerm(std::string_view text);
+  /// Points the first free slot of hash `h`'s probe run at term `term1`.
+  void Place(uint64_t h, uint32_t term1);
+  void GrowSlots();
+
+  std::vector<Entry> entries_;  // tombstoned via owner==kInvalidHost
+  std::vector<Term> terms_;     // first-indexed order
+  std::vector<Slot> slots_;
   size_t live_entries_ = 0;
 
   bool Live(uint32_t idx) const {

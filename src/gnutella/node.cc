@@ -13,6 +13,17 @@ uint64_t MakeFileId(const std::string& filename, uint64_t size_bytes,
   return FileId(filename, size_bytes, owner);
 }
 
+namespace {
+
+// The constructor's member initializers read the config, so it is checked
+// before any of them does.
+const GnutellaConfig& CheckedConfig(const GnutellaConfig* config) {
+  assert(config != nullptr);
+  return *config;
+}
+
+}  // namespace
+
 GnutellaNode::GnutellaNode(sim::Network* network, Role role,
                            const GnutellaConfig* config,
                            GnutellaMetrics* metrics, uint64_t seed)
@@ -20,8 +31,9 @@ GnutellaNode::GnutellaNode(sim::Network* network, Role role,
       role_(role),
       config_(config),
       metrics_(metrics),
-      rng_(seed) {
-  assert(network != nullptr && config != nullptr && metrics != nullptr);
+      rng_(seed),
+      guids_(CheckedConfig(config).guid_route_capacity) {
+  assert(network != nullptr && metrics != nullptr);
   host_ = network->AddHost(this);
 }
 
@@ -115,13 +127,13 @@ bool GnutellaNode::QueryActive(Guid guid) const {
 
 void GnutellaNode::ExecuteQueryAsRoot(Guid guid, const std::string& text) {
   assert(role_ == Role::kUltrapeer);
-  RememberGuid(guid, sim::kInvalidHost);  // never re-process our own flood
+  guids_.Remember(guid, sim::kInvalidHost);  // never re-process our own flood
   if (query_observer_) query_observer_(guid, text, host_);
   MatchLocally(guid, text, sim::kInvalidHost);
 
   if (config_->query_mode == QueryMode::kFlood) {
-    QueryBody q{guid, config_->flood_ttl, 0, text};
-    FloodQuery(q, sim::kInvalidHost);
+    FloodQuery(QueryBody{guid, config_->flood_ttl, 0, text},
+               sim::kInvalidHost);
     return;
   }
   BeginDynamicQuery(guid, text);
@@ -171,17 +183,19 @@ void GnutellaNode::DynamicTick(Guid guid) {
       [this, guid]() { DynamicTick(guid); });
 }
 
-void GnutellaNode::FloodQuery(const QueryBody& q, sim::HostId exclude) {
+void GnutellaNode::FloodQuery(QueryBody q, sim::HostId exclude) {
   if (q.ttl == 0) {
     ++metrics_->ttl_expired;
     return;
   }
+  // One immutable body, shared by every neighbor's copy of the message.
+  size_t bytes = QueryWireBytes(q);
+  sim::Message msg = sim::Message::Make<QueryBody>(
+      kMsgQuery, "gnutella.query", bytes, std::move(q));
   for (sim::HostId n : up_neighbors_) {
     if (n == exclude) continue;
     ++metrics_->query_messages;
-    network_->Send(host_, n,
-                   sim::Message::Make<QueryBody>(kMsgQuery, "gnutella.query",
-                                                 QueryWireBytes(q), q));
+    network_->Send(host_, n, msg);
   }
 }
 
@@ -213,9 +227,8 @@ void GnutellaNode::MatchLocally(Guid guid, const std::string& text,
       terms.push_back(std::move(t));
     }
     if (!terms.empty()) {
-      auto origin = guid_routes_.find(guid);
-      sim::HostId origin_host =
-          origin != guid_routes_.end() ? origin->second : sim::kInvalidHost;
+      const sim::HostId* origin = guids_.Find(guid);
+      sim::HostId origin_host = origin ? *origin : sim::kInvalidHost;
       for (const auto& [leaf, bloom] : leaf_blooms_) {
         if (leaf == origin_host) continue;  // don't echo to the asker
         if (!bloom.MayContainAll(terms)) continue;
@@ -277,31 +290,20 @@ void GnutellaNode::DeliverOrForwardHit(Guid guid,
     return;
   }
 
-  auto route = guid_routes_.find(guid);
-  if (route == guid_routes_.end() || route->second == sim::kInvalidHost) {
+  const sim::HostId* route = guids_.Find(guid);
+  if (route == nullptr || *route == sim::kInvalidHost) {
     return;  // route evicted or unknown: drop the hit
   }
+  sim::HostId next_hop = *route;  // the observer below may remember GUIDs
   QueryHitBody hit{guid, std::move(results)};
   if (hit_observer_) {
     hit_observer_(guid, hit.results, 0);
   }
   ++metrics_->query_hit_messages;
-  network_->Send(host_, route->second,
+  network_->Send(host_, next_hop,
                  sim::Message::Make<QueryHitBody>(kMsgQueryHit, "gnutella.hit",
                                                   HitWireBytes(hit),
                                                   std::move(hit)));
-}
-
-void GnutellaNode::RememberGuid(Guid guid, sim::HostId from) {
-  seen_guids_.insert(guid);
-  guid_routes_[guid] = from;
-  guid_fifo_.push_back(guid);
-  while (guid_fifo_.size() > config_->guid_route_capacity) {
-    Guid old = guid_fifo_.front();
-    guid_fifo_.pop_front();
-    seen_guids_.erase(old);
-    guid_routes_.erase(old);
-  }
 }
 
 void GnutellaNode::BrowseHost(sim::HostId target, BrowseCallback callback) {
@@ -334,17 +336,17 @@ void GnutellaNode::HandleMessage(sim::HostId from, const sim::Message& msg) {
   switch (msg.type) {
     case kMsgQuery: {
       const auto& q = msg.as<QueryBody>();
-      if (SeenGuid(q.guid)) {
+      if (guids_.Find(q.guid) != nullptr) {
         ++metrics_->duplicate_queries;
         return;
       }
-      RememberGuid(q.guid, from);
+      guids_.Remember(q.guid, from);
       if (query_observer_) query_observer_(q.guid, q.text, from);
       MatchLocally(q.guid, q.text, from);
       if (q.ttl > 1) {
-        QueryBody fwd{q.guid, static_cast<uint8_t>(q.ttl - 1),
-                      static_cast<uint8_t>(q.hops + 1), q.text};
-        FloodQuery(fwd, from);
+        FloodQuery(QueryBody{q.guid, static_cast<uint8_t>(q.ttl - 1),
+                             static_cast<uint8_t>(q.hops + 1), q.text},
+                   from);
       } else {
         ++metrics_->ttl_expired;
       }
@@ -358,13 +360,13 @@ void GnutellaNode::HandleMessage(sim::HostId from, const sim::Message& msg) {
     case kMsgLeafQuery: {
       // A leaf asks us to run a query on its behalf.
       const auto& q = msg.as<LeafQueryBody>();
-      if (SeenGuid(q.guid)) return;
-      RememberGuid(q.guid, from);  // hits route back to the leaf
+      if (guids_.Find(q.guid) != nullptr) return;
+      guids_.Remember(q.guid, from);  // hits route back to the leaf
       if (query_observer_) query_observer_(q.guid, q.text, from);
       MatchLocally(q.guid, q.text, sim::kInvalidHost);
       if (config_->query_mode == QueryMode::kFlood) {
-        QueryBody body{q.guid, config_->flood_ttl, 0, q.text};
-        FloodQuery(body, sim::kInvalidHost);
+        FloodQuery(QueryBody{q.guid, config_->flood_ttl, 0, q.text},
+                   sim::kInvalidHost);
       } else {
         BeginDynamicQuery(q.guid, q.text);
       }

@@ -9,9 +9,15 @@
 //    results arrive),
 //  * BrowseHost (fetch a neighbor's shared files) and a crawler ping that
 //    returns the neighbor list (Section 4.1's topology crawl).
+//
+// Per-hop state is flat: duplicate suppression and the reverse path share
+// one GuidTable (open addressing, load <= 1/2, one probe per lookup) whose
+// eviction is FIFO in remember order past guid_route_capacity, exactly as
+// a deque of remembered GUIDs would evict; the local match probes each
+// query term once in the KeywordIndex term table; and a flood hop builds
+// one message whose immutable body every neighbor's copy shares.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -22,6 +28,7 @@
 #include "common/bloom.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "gnutella/guid_table.h"
 #include "gnutella/index.h"
 #include "gnutella/types.h"
 
@@ -168,14 +175,12 @@ class GnutellaNode : public sim::Host {
 
   void ExecuteQueryAsRoot(Guid guid, const std::string& text);
   void BeginDynamicQuery(Guid guid, const std::string& text);
-  void FloodQuery(const QueryBody& q, sim::HostId exclude);
+  void FloodQuery(QueryBody q, sim::HostId exclude);
   void SendQueryTo(sim::HostId neighbor, Guid guid, const std::string& text,
                    uint8_t ttl);
   void MatchLocally(Guid guid, const std::string& text, sim::HostId reply_to);
   void DeliverOrForwardHit(Guid guid, std::vector<QueryResult> results);
   void DynamicTick(Guid guid);
-  void RememberGuid(Guid guid, sim::HostId from);
-  bool SeenGuid(Guid guid) const { return seen_guids_.count(guid) > 0; }
 
   sim::Network* network_;
   Role role_;
@@ -193,9 +198,10 @@ class GnutellaNode : public sim::Host {
   // QRP mode: per-leaf keyword Bloom filters instead of full file lists.
   std::unordered_map<sim::HostId, BloomFilter> leaf_blooms_;
 
-  std::unordered_set<Guid> seen_guids_;
-  std::unordered_map<Guid, sim::HostId> guid_routes_;
-  std::deque<Guid> guid_fifo_;  // eviction order for the two maps above
+  // Every GUID this node has processed, with the hop its query came from
+  // (kInvalidHost for queries rooted here): duplicate suppression and the
+  // reverse path for hits. FIFO-evicted past guid_route_capacity.
+  GuidTable guids_;
 
   std::unordered_map<Guid, LocalQuery> local_queries_;
   std::unordered_map<Guid, DqState> dq_states_;

@@ -15,13 +15,14 @@ struct Net {
   std::unique_ptr<sim::Network> network;
   std::unique_ptr<GnutellaNetwork> gnutella;
 
-  explicit Net(LeafPublishMode mode, uint64_t seed = 44) {
+  explicit Net(LeafPublishMode mode, uint64_t seed = 44,
+               size_t ultrapeers = 20, size_t leaves = 80) {
     network = std::make_unique<sim::Network>(
         &simulator,
         std::make_unique<sim::ConstantLatency>(10 * sim::kMillisecond), 5);
     TopologyConfig c;
-    c.num_ultrapeers = 20;
-    c.num_leaves = 80;
+    c.num_ultrapeers = ultrapeers;
+    c.num_leaves = leaves;
     c.protocol.ultrapeer_degree = 4;
     c.protocol.flood_ttl = 3;
     c.protocol.leaf_publish = mode;
@@ -75,6 +76,32 @@ TEST(QrpTest, SearcherDoesNotReceiveItsOwnFilesBack) {
   });
   net.simulator.Run();
   EXPECT_EQ(results, 0u);
+}
+
+TEST(QrpTest, PrimaryParentDoesNotForwardQueryBackToAsker) {
+  // One ultrapeer, two leaves. The asker's own Bloom filter matches its
+  // query; only the query's reverse route (back to the asker) keeps the
+  // ultrapeer from forwarding the query straight back to it. The asker
+  // drops its own files either way, so the result count cannot tell.
+  Net net(LeafPublishMode::kBloomFilter, 44, /*ultrapeers=*/1,
+          /*leaves=*/2);
+  auto* asker = net.gnutella->leaf(0);
+  auto* other = net.gnutella->leaf(1);
+  size_t results = 0;
+  auto count = [&](const std::vector<QueryResult>& rs) {
+    results += rs.size();
+  };
+  net.ShareAndPublish(asker, {"own echo record.mp3"});
+  asker->StartQuery("own echo", count);
+  net.simulator.Run();
+  EXPECT_EQ(net.gnutella->metrics().qrp_leaf_forwards, 0u);
+  EXPECT_EQ(results, 0u);
+
+  net.ShareAndPublish(other, {"own echo record.mp3"});
+  asker->StartQuery("own echo", count);
+  net.simulator.Run();
+  EXPECT_EQ(net.gnutella->metrics().qrp_leaf_forwards, 1u);
+  EXPECT_EQ(results, 1u);
 }
 
 TEST(QrpTest, FalsePositiveForwardsAreCounted) {
