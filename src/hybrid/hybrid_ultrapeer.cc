@@ -90,15 +90,12 @@ void HybridUltrapeer::Query(const std::string& text, HitCallback on_hit,
           if (done) done();
           return;
         }
-        // Timed out with nothing: re-issue through PIERSearch, letting the
-        // deployment's plan hook reshape the compiled query plan.
+        // Timed out with nothing: re-issue through PIERSearch.
         state->fell_back = true;
         ++stats_.dht_reissued;
         up_->EndQuery(guid);
-        piersearch::SearchOptions search = config_.search;
-        if (config_.plan_rewrite) search.plan_rewrite = config_.plan_rewrite;
         engine_.Search(
-            text, search,
+            text, config_.search,
             [this, state, on_hit, done, simulator](
                 Status s, std::vector<piersearch::SearchHit> hits,
                 const pier::Completeness& completeness) {

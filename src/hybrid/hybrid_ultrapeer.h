@@ -30,11 +30,6 @@ struct HybridConfig {
   size_t qrs_threshold = 20;
   piersearch::PublishOptions publish;
   piersearch::SearchOptions search;
-  /// Applied to every reissued query's compiled plan before execution —
-  /// the deployment hook for reshaping DHT fallback queries (tighter
-  /// limits, TopK by file size, extra pushed-down filters) without
-  /// touching the search engine. Runs after the posting-size rewrite.
-  std::function<void(pier::QueryPlan*)> plan_rewrite;
 };
 
 /// Counters for one hybrid ultrapeer.

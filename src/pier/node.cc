@@ -29,6 +29,20 @@ dht::Key DhtKeyFor(const std::string& ns, const Value& key) {
   return HashCombine(Fnv1a64(ns), key.Hash());
 }
 
+/// The [join_key, payload...] rows of a stage or reply image; rows lost to
+/// corruption, and rows without a join key, count into `*dropped`.
+std::vector<Tuple> DecodeRows(const std::vector<uint8_t>& image,
+                              size_t* dropped) {
+  std::vector<Tuple> rows =
+      TupleBatch::DeserializeLossy(image, dropped).TakeTuples();
+  auto keyless = std::remove_if(rows.begin(), rows.end(), [](const Tuple& t) {
+    return t.arity() == 0;
+  });
+  *dropped += static_cast<size_t>(rows.end() - keyless);
+  rows.erase(keyless, rows.end());
+  return rows;
+}
+
 }  // namespace
 
 /// Aggregate ack of one PublishBatch call: `remaining` counts outstanding
@@ -57,36 +71,6 @@ struct PublishAck {
     }
   }
 };
-
-std::vector<uint8_t> EncodeJoinEntries(
-    const std::vector<JoinResultEntry>& entries) {
-  BytesWriter w;
-  w.PutVarint(entries.size());
-  for (const JoinResultEntry& e : entries) {
-    w.PutVarint(1 + e.payload.arity());
-    e.join_key.SerializeTo(&w);
-    for (const Value& v : e.payload) v.SerializeTo(&w);
-  }
-  return w.Take();
-}
-
-std::vector<JoinResultEntry> DecodeJoinEntries(
-    const std::vector<uint8_t>& image, size_t* dropped) {
-  TupleBatch batch = TupleBatch::DeserializeLossy(image, dropped);
-  std::vector<JoinResultEntry> entries;
-  entries.reserve(batch.size());
-  for (Tuple& t : batch.TakeTuples()) {
-    if (t.arity() == 0) {
-      ++*dropped;
-      continue;
-    }
-    JoinResultEntry e;
-    e.join_key = t.at(0);
-    e.payload = t.SubTuple(1);
-    entries.push_back(std::move(e));
-  }
-  return entries;
-}
 
 PierNode::PierNode(dht::DhtNode* dht, PierMetrics* metrics)
     : dht_(dht), metrics_(metrics) {
@@ -506,14 +490,14 @@ void PierNode::ProbePostingSize(const std::string& ns, const Value& key,
 }
 
 void PierNode::ExecuteStaged(std::shared_ptr<const StagedQuery> query,
-                             JoinCallback callback, sim::SimTime timeout) {
+                             PlanCallback callback, sim::SimTime timeout) {
   assert(!query->stages.empty());
   ++metrics_->joins_executed;
   uint64_t qid = NextQid();
   sim::Executor* exec = dht_->network()->executor();
   PendingJoin pending;
   pending.callback = std::move(callback);
-  pending.limit = query->cap_results ? query->limit : SIZE_MAX;
+  pending.cap = RowCap(query->cap, query->limit);
   pending.query = std::move(query);
   pending.deadline = exec->now() + timeout;
   pending.failovers_left = batch_options_.stage_failover_budget;
@@ -533,7 +517,6 @@ void PierNode::ExecuteStaged(std::shared_ptr<const StagedQuery> query,
     it->second.timeout = sim::kInvalidEventId;
     // Hand over the chunk replies that did arrive — with chunked
     // streaming a timeout usually means one lost chunk, not nothing.
-    // (OnDirect caps the accumulator at the limit.)
     ResolveJoin(qid, Status::TimedOut("distributed join"));
   });
   pending_joins_[qid] = std::move(pending);
@@ -551,7 +534,7 @@ void PierNode::DispatchStage0(uint64_t qid) {
   msg.qid = qid;
   msg.query = pending.query;
   msg.stage_idx = 0;
-  msg.entries_image = EncodeJoinEntries({});
+  msg.entries_image = TupleBatch().Serialize();
   msg.weight = kFullJoinWeight;
   msg.origin = dht_->info();
   msg.generation = pending.generation;
@@ -603,14 +586,15 @@ void PierNode::CheckJoinProgress(uint64_t qid) {
   // stage owner, a dropped chunk, an expired credit stream. Re-dispatch
   // stage 0 under a new generation: routing re-resolves against the
   // current ring, landing on the replica-holding successor when the owner
-  // died. The accumulated entries are discarded along with the old
+  // died. The accumulated rows are discarded along with the old
   // generation's weight so the retry cannot duplicate them; stale replies
   // from the superseded dispatch are fenced by the generation stamp.
   --pending.failovers_left;
   ++pending.generation;
   ++metrics_->stage_failovers;
   pending.completeness.failovers += 1;
-  pending.entries.clear();
+  pending.rows.clear();
+  pending.cap = RowCap(pending.query->cap, pending.query->limit);
   pending.weight_received = 0;
   pending.watchdog_weight = 0;
   pending.watchdog_interval *= 2;
@@ -635,8 +619,8 @@ void PierNode::ResolveJoin(uint64_t qid, Status s) {
     // weight means at least one stage's answers never came back.
     if (!c.shed) c.stages_failed += 1;
   }
-  JoinCallback cb = std::move(pending.callback);
-  std::vector<JoinResultEntry> results = std::move(pending.entries);
+  PlanCallback cb = std::move(pending.callback);
+  std::vector<Tuple> results = std::move(pending.rows);
   pending_joins_.erase(it);
   cb(std::move(s), std::move(results), c);
 }
@@ -704,7 +688,7 @@ void PierNode::OnPlanRefused(const DirectEnvelope& env) {
   // No defer budget (or no time left to wait): an explicit labeled shed.
   pending.completeness.shed = true;
   pending.completeness.retry_after = retry;
-  pending.entries.clear();
+  pending.rows.clear();
   ResolveJoin(env.qid, Status::Unavailable("plan shed by admission control"));
 }
 
@@ -712,42 +696,42 @@ size_t PierNode::StageMsgWireSize(const JoinStageMsg& m) {
   size_t bytes = 40;  // qid, stage idx, weight, origin, limit
   if (m.stream_id != 0) bytes += 20;  // credit stream handle + producer
   for (const ExecStage& s : m.query->stages) bytes += s.WireSize();
-  // The entry list is a real TupleBatch image: its charged size is exact.
+  // The rows are a real TupleBatch image: their charged size is exact.
   bytes += m.entries_image.size();
   return bytes;
 }
 
-std::vector<JoinResultEntry> PierNode::LocalStageEntries(
-    const ExecStage& stage) {
-  std::vector<JoinResultEntry> out;
-  dht::Key k = DhtKeyFor(stage.ns, stage.key);
-  for (Tuple& t : DecodeLocalBatch(stage.ns, k)) {
+std::vector<Tuple> PierNode::LocalStageEntries(const ExecStage& stage) {
+  std::vector<Tuple> scanned =
+      DecodeLocalBatch(stage.ns, DhtKeyFor(stage.ns, stage.key));
+  // One arena for all of the stage's rows, filled in place and sliced as
+  // TupleBatch's decode slices its column arena.
+  auto arena = std::make_shared<std::vector<Value>>();
+  arena->reserve(scanned.size() * (1 + stage.payload_cols.size()));
+  Tuple::Payload alias = arena;
+  std::vector<Tuple> rows;
+  for (const Tuple& t : scanned) {
     if (t.arity() <= stage.key_col || t.arity() <= stage.join_col) continue;
     if (!(t.at(stage.key_col) == stage.key)) continue;
     if (!stage.filter.is_true() && !stage.filter.Matches(t)) continue;
-    JoinResultEntry e;
-    e.join_key = t.at(stage.join_col);
-    if (!stage.payload_cols.empty()) {
-      std::vector<Value> payload;
-      payload.reserve(stage.payload_cols.size());
-      for (size_t c : stage.payload_cols) {
-        payload.push_back(c < t.arity() ? t.at(c) : Value());
-      }
-      e.payload = Tuple(std::move(payload));
+    size_t begin = arena->size();
+    arena->push_back(t.at(stage.join_col));
+    for (size_t c : stage.payload_cols) {
+      arena->push_back(c < t.arity() ? t.at(c) : Value());
     }
-    out.push_back(std::move(e));
+    rows.push_back(Tuple::Slice(alias, begin, arena->size() - begin));
   }
-  return out;
+  return rows;
 }
 
 void PierNode::SendJoinReply(const dht::NodeInfo& origin, uint64_t qid,
-                             const std::vector<JoinResultEntry>& entries,
-                             uint64_t weight, uint32_t generation) {
+                             std::vector<Tuple> rows, uint64_t weight,
+                             uint32_t generation) {
   // Stream the answer directly to the query node (bypasses the overlay).
   DirectEnvelope env;
   env.subtype = kJoinReply;
   env.qid = qid;
-  env.entries_image = EncodeJoinEntries(entries);
+  env.entries_image = TupleBatch(std::move(rows)).Serialize();
   env.weight = weight;
   env.generation = generation;
   size_t bytes = 24 + env.entries_image.size();
@@ -758,13 +742,13 @@ void PierNode::SendJoinReply(const dht::NodeInfo& origin, uint64_t qid,
 }
 
 void PierNode::ForwardToStage(const JoinStageMsg& prev,
-                              std::vector<JoinResultEntry> surviving) {
+                              std::vector<Tuple> surviving) {
   const StagedQuery& query = *prev.query;
   size_t next_idx = prev.stage_idx + 1;
   const ExecStage& next_stage = query.stages[next_idx];
   dht::Key target = DhtKeyFor(next_stage.ns, next_stage.key);
 
-  // Past the flush threshold, the entry list streams onward in chunks so a
+  // Past the flush threshold, the rows stream onward in chunks so a
   // huge intermediate posting list does not ship as one message. The
   // termination weight divides across chunks (and is never created or
   // destroyed), so the query node completes exactly when every chunk's
@@ -842,7 +826,9 @@ void PierNode::SendChunk(ChunkStream* stream, size_t idx,
   next.qid = stream->qid;
   next.query = stream->query;
   next.stage_idx = stream->stage_idx;
-  next.entries_image = EncodeJoinEntries(stream->chunks[idx]);
+  std::vector<Tuple> rows = std::move(stream->chunks[idx]);
+  metrics_->posting_entries_shipped += rows.size();
+  next.entries_image = TupleBatch(std::move(rows)).Serialize();
   next.weight = stream->weights[idx];
   next.origin = stream->origin;
   next.generation = stream->generation;
@@ -852,9 +838,7 @@ void PierNode::SendChunk(ChunkStream* stream, size_t idx,
     next.stream_id = stream_id;
     next.producer = dht_->info();
   }
-  metrics_->posting_entries_shipped += stream->chunks[idx].size();
   ++metrics_->join_stage_messages;
-  stream->chunks[idx].clear();
   size_t bytes = StageMsgWireSize(next);
   dht_->Route(stream->target, kAppJoinStage,
               std::make_shared<const JoinStageMsg>(std::move(next)), bytes,
@@ -901,28 +885,25 @@ void PierNode::OnJoinStage(const dht::RouteMsg& msg) {
   // dropping it there would waste more than it saves.
   if (stage_msg.stage_idx == 0 && !AdmitStage0(stage_msg)) return;
 
-  std::vector<JoinResultEntry> local = LocalStageEntries(stage);
+  std::vector<Tuple> local = LocalStageEntries(stage);
 
-  std::vector<JoinResultEntry> surviving;
+  std::vector<Tuple> surviving;
   if (stage_msg.stage_idx == 0) {
     surviving = std::move(local);
   } else {
     size_t dropped = 0;
-    std::vector<JoinResultEntry> incoming =
-        DecodeJoinEntries(stage_msg.entries_image, &dropped);
+    std::vector<Tuple> incoming =
+        DecodeRows(stage_msg.entries_image, &dropped);
     metrics_->tuples_dropped_deserialize += dropped;
-    // Symmetric hash join between the shipped entries (left) and the local
-    // posting list (right); the surviving payload is the incoming one.
+    // Symmetric hash join on the join key between the shipped rows (left)
+    // and the local ones (right); the surviving row is the incoming one.
     SymmetricHashJoin shj(/*left_col=*/0, /*right_col=*/0);
     shj.Reserve(incoming.size(), local.size());
-    for (const auto& e : local) {
-      shj.InsertRight(Tuple(std::vector<Value>{e.join_key}));
-    }
-    for (auto& e : incoming) {
-      auto joined = shj.InsertLeft(Tuple(std::vector<Value>{e.join_key}));
+    for (Tuple& row : local) shj.InsertRight(std::move(row));
+    for (Tuple& row : incoming) {
       // Duplicate local postings for the same key yield duplicate joins;
-      // the chain semantics are set-based, so take at most one.
-      if (!joined.empty()) surviving.push_back(std::move(e));
+      // the chain semantics are set-based, so keep the row once.
+      if (!shj.InsertLeft(row).empty()) surviving.push_back(std::move(row));
     }
   }
 
@@ -931,17 +912,13 @@ void PierNode::OnJoinStage(const dht::RouteMsg& msg) {
   // the survivors), so a backed-up stage's service time paces its
   // upstream.
   bool last = stage_msg.stage_idx + 1 == query.stages.size();
-  // The cap applies to the final answer only; truncating an intermediate
-  // posting list could drop entries that survive later stages, and a plan
-  // whose finishers need the full surviving set (cap_results off — e.g. a
-  // TopK over a fetched column) must not truncate at all. (Chunked
-  // last-stage arrivals are capped per chunk here and again at the query
-  // node once the stream completes.)
-  if (last && query.cap_results && surviving.size() > query.limit) {
-    surviving.resize(query.limit);
-  }
+  // The cap applies to the final answer only; truncating intermediate rows
+  // could drop ones that survive later stages. (Chunked last-stage
+  // arrivals are capped per chunk here and again as the query node
+  // accumulates them.)
+  if (last) RowCap(query.cap, query.limit).Apply(&surviving);
   if (last || surviving.empty()) {
-    SendJoinReply(stage_msg.origin, stage_msg.qid, surviving,
+    SendJoinReply(stage_msg.origin, stage_msg.qid, std::move(surviving),
                   stage_msg.weight, stage_msg.generation);
   } else {
     ForwardToStage(stage_msg, std::move(surviving));
@@ -993,16 +970,15 @@ void PierNode::OnDirect(sim::HostId /*from*/, const sim::Message& msg) {
     // weight toward the current generation's termination — drop it.
     if (env.generation != pending.generation) return;
     size_t dropped = 0;
-    std::vector<JoinResultEntry> entries =
-        DecodeJoinEntries(env.entries_image, &dropped);
+    std::vector<Tuple> rows = DecodeRows(env.entries_image, &dropped);
     metrics_->tuples_dropped_deserialize += dropped;
     // The accumulator may outlive this reply's decode arena by many chunk
-    // round-trips; materialize so a few retained entries don't pin whole
+    // round-trips; materialize so a few retained rows don't pin whole
     // reply batches.
-    for (JoinResultEntry& e : entries) {
-      if (pending.entries.size() >= pending.limit) break;
-      pending.entries.push_back(JoinResultEntry{
-          e.join_key.Materialize(), e.payload.Materialize()});
+    for (const Tuple& row : rows) {
+      if (pending.cap.full()) break;
+      Tuple kept = row.Materialize();
+      if (pending.cap.Admit(kept)) pending.rows.push_back(std::move(kept));
     }
     pending.weight_received += env.weight;
     if (pending.weight_received < kFullJoinWeight) return;

@@ -14,11 +14,12 @@
 //    index scans with serializable Expr filters, symmetric-hash-joined
 //    hop by hop, Figure 2's query plan being the undecorated special case
 //    and Figure 3's single-site InvertedCache plan the one-stage one.
-//    Stage-to-stage entry lists travel as exact TupleBatch wire images and
-//    stream in chunks past a flush threshold, credit-paced with a window
-//    seeded from the consumer's observed service rate, with
-//    weight-throwing termination so the query node knows when the chunked
-//    answer stream is complete,
+//    Every stage's output is a list of [join_key, payload...] rows; rows
+//    travel stage to stage and back to the query node as the TupleBatch
+//    image of the list and stream in chunks past a flush threshold,
+//    credit-paced with a window seeded from the consumer's observed
+//    service rate, with weight-throwing termination so the query node
+//    knows when the chunked answer stream is complete,
 //  * result streaming: final answers travel directly to the query node,
 //    bypassing the overlay ("With the exception of query answers, all
 //    messages are sent via the DHT routing layer").
@@ -176,21 +177,6 @@ struct BatchOptions {
   size_t admission_defer_budget = 2;
 };
 
-/// A join-chain result entry: the join key plus the stage-0 payload.
-struct JoinResultEntry {
-  Value join_key;
-  Tuple payload;
-};
-
-/// Encodes an entry list as a TupleBatch wire image — one row per entry,
-/// laid out [join_key, payload...] — so stage messages and answer replies
-/// are charged their exact encoded size and round-trip through the real
-/// codec. DecodeJoinEntries counts undecodable rows into `*dropped`.
-std::vector<uint8_t> EncodeJoinEntries(
-    const std::vector<JoinResultEntry>& entries);
-std::vector<JoinResultEntry> DecodeJoinEntries(
-    const std::vector<uint8_t>& image, size_t* dropped);
-
 /// Ack aggregate of one PublishBatch call (defined in node.cc).
 struct PublishAck;
 
@@ -263,9 +249,6 @@ class PierNode {
                    sim::SimTime timeout = 30 * sim::kSecond);
 
  private:
-  using JoinCallback = std::function<void(Status, std::vector<JoinResultEntry>,
-                                          const Completeness&)>;
-
   // Routed app types (offsets from dht::kAppUserBase).
   static constexpr int kAppJoinStage = dht::kAppUserBase + 1;
   static constexpr int kAppSizeProbe = dht::kAppUserBase + 2;
@@ -287,7 +270,7 @@ class PierNode {
     uint64_t qid;
     std::shared_ptr<const StagedQuery> query;
     size_t stage_idx;
-    /// Incoming entry list as its exact TupleBatch wire image.
+    /// Incoming [join_key, payload...] rows as their TupleBatch image.
     std::vector<uint8_t> entries_image;
     uint64_t weight;
     dht::NodeInfo origin;
@@ -341,7 +324,7 @@ class PierNode {
     size_t stage_idx = 0;
     dht::NodeInfo origin;
     dht::Key target = 0;
-    std::vector<std::vector<JoinResultEntry>> chunks;  ///< Unsent tail.
+    std::vector<std::vector<Tuple>> chunks;  ///< Unsent tail of rows.
     std::vector<uint64_t> weights;  ///< Parallel to `chunks`.
     size_t next = 0;                ///< First unsent chunk index.
     size_t credits = 0;
@@ -354,7 +337,7 @@ class PierNode {
   /// counted here; ExecutePlan counts partial_results once at its own
   /// final resolution.
   void ExecuteStaged(std::shared_ptr<const StagedQuery> query,
-                     JoinCallback callback, sim::SimTime timeout);
+                     PlanCallback callback, sim::SimTime timeout);
 
   /// FetchMany by table name and key column, as a FetchJoin plan node
   /// names them, with the partial-result accounting flag (plan fetch legs
@@ -409,10 +392,10 @@ class PierNode {
   /// iterator.
   QueueMap::iterator FlushAndErase(QueueMap::iterator it);
 
-  /// Sends the (possibly chunked) surviving entries to the next stage,
+  /// Sends the (possibly chunked) surviving rows to the next stage,
   /// credit-paced past the adaptive credit window.
   void ForwardToStage(const JoinStageMsg& prev,
-                      std::vector<JoinResultEntry> surviving);
+                      std::vector<Tuple> surviving);
   /// The initial credit window for a chunk stream toward `target`'s stage
   /// owner: the configured floor (at least one chunk), deepened by the
   /// consumer's observed service rate (see BatchOptions).
@@ -425,11 +408,12 @@ class PierNode {
   /// The map node is erased on completion — `it` is invalid after.
   void PumpStream(std::map<uint64_t, ChunkStream>::iterator it);
   void SendJoinReply(const dht::NodeInfo& origin, uint64_t qid,
-                     const std::vector<JoinResultEntry>& entries,
-                     uint64_t weight, uint32_t generation);
+                     std::vector<Tuple> rows, uint64_t weight,
+                     uint32_t generation);
 
-  /// Tuples of (ns, key) passing the stage's filter, as JoinResultEntries.
-  std::vector<JoinResultEntry> LocalStageEntries(const ExecStage& stage);
+  /// The stage's [join_key, payload...] rows: one per tuple of (ns, key)
+  /// passing its filter, sliced from one shared arena.
+  std::vector<Tuple> LocalStageEntries(const ExecStage& stage);
 
   /// One-shot decode of a locally stored (ns, key) posting list; counts
   /// undecodable tuples into tuples_dropped_deserialize.
@@ -450,11 +434,12 @@ class PierNode {
   QueueMap rehash_queues_;
 
   struct PendingJoin {
-    JoinCallback callback;
+    PlanCallback callback;
     sim::EventId timeout = sim::kInvalidEventId;
-    std::vector<JoinResultEntry> entries;  ///< Accumulated chunk replies.
+    std::vector<Tuple> rows;  ///< Accumulated chunk replies.
+    /// The query's answer cap over `rows`.
+    RowCap cap{StagedQuery::Cap::kNone, SIZE_MAX};
     uint64_t weight_received = 0;
-    size_t limit = SIZE_MAX;
     /// Failover fence: replies stamped with an older generation belong to
     /// a superseded dispatch and are ignored.
     uint32_t generation = 0;

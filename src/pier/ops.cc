@@ -30,89 +30,24 @@ double NumericOf(const Value& v) {
 
 }  // namespace
 
-bool VectorScan::Next(Tuple* out) {
-  if (pos_ >= tuples_.size()) return false;
-  *out = tuples_[pos_++];  // handle copy: refcount bump, no row deep-copy
-  return true;
-}
-
-bool Selection::Next(Tuple* out) {
-  Tuple t;
-  while (child_->Next(&t)) {
-    if (pred_(t)) {
-      *out = std::move(t);
-      return true;
-    }
-  }
-  return false;
-}
-
-bool Projection::Next(Tuple* out) {
-  Tuple t;
-  if (!child_->Next(&t)) return false;
-  std::vector<Value> vals;
-  vals.reserve(cols_.size());
-  for (size_t c : cols_) vals.push_back(ColumnOrDefault(t, c));
-  *out = Tuple(std::move(vals));
-  return true;
-}
-
-bool Limit::Next(Tuple* out) {
-  if (produced_ >= limit_) return false;
-  if (!child_->Next(out)) return false;
-  ++produced_;
-  return true;
-}
-
-HashJoin::HashJoin(std::unique_ptr<Operator> left,
-                   std::unique_ptr<Operator> right, size_t left_col,
-                   size_t right_col)
-    : left_(std::move(left)),
-      right_(std::move(right)),
-      left_col_(left_col),
-      right_col_(right_col) {}
-
-void HashJoin::Open() {
-  left_->Open();
-  right_->Open();
-  build_.Clear();
-  pending_.clear();
-  // Drain the build side first so the table can be sized exactly — one
-  // rehash instead of log(n) incremental ones.
-  std::vector<Tuple> rows;
-  Tuple t;
-  while (right_->Next(&t)) {
-    rows.push_back(std::move(t));
-    t = Tuple();
-  }
-  build_.Reserve(rows.size());
-  for (Tuple& row : rows) {
-    uint64_t h = row.at(right_col_).Hash();
-    build_.Insert(h, std::move(row));
-  }
-  pending_.reserve(8);
-}
-
-bool HashJoin::Next(Tuple* out) {
-  while (true) {
-    if (!pending_.empty()) {
-      *out = std::move(pending_.back());
-      pending_.pop_back();
-      return true;
-    }
-    if (!left_->Next(&current_left_)) return false;
-    const Value& key = current_left_.at(left_col_);
-    build_.ForEachMatch(key.Hash(), [&](const Tuple& match) {
-      if (!(match.at(right_col_) == key)) return;  // hash collision
-      pending_.push_back(Tuple::Concat(current_left_, match));
+std::vector<Tuple> HashJoin(const std::vector<Tuple>& left,
+                            const std::vector<Tuple>& right, size_t left_col,
+                            size_t right_col) {
+  JoinTable build;
+  build.Reserve(right.size());
+  for (const Tuple& row : right) build.Insert(row.at(right_col).Hash(), row);
+  std::vector<Tuple> out;
+  for (const Tuple& row : left) {
+    const Value& key = row.at(left_col);
+    size_t first = out.size();
+    build.ForEachMatch(key.Hash(), [&](const Tuple& match) {
+      if (match.at(right_col) == key) {  // else a hash collision
+        out.push_back(Tuple::Concat(row, match));
+      }
     });
+    std::reverse(out.begin() + static_cast<ptrdiff_t>(first), out.end());
   }
-}
-
-void HashJoin::Close() {
-  left_->Close();
-  right_->Close();
-  build_.Clear();
+  return out;
 }
 
 SymmetricHashJoin::SymmetricHashJoin(size_t left_col, size_t right_col)
@@ -150,26 +85,23 @@ std::vector<Tuple> SymmetricHashJoin::InsertRight(Tuple t) {
   return out;
 }
 
-GroupByAggregate::GroupByAggregate(std::unique_ptr<Operator> child,
-                                   std::vector<size_t> group_cols,
-                                   std::vector<AggregateSpec> aggregates)
-    : child_(std::move(child)),
-      group_cols_(std::move(group_cols)),
-      aggs_(std::move(aggregates)) {}
-
-void GroupByAggregate::Open() {
-  child_->Open();
-  groups_.clear();
-  emit_pos_ = 0;
-  // Hash of key values -> index into groups_ (collisions resolved by full
+std::vector<Tuple> GroupAggregate(const std::vector<Tuple>& rows,
+                                  const std::vector<uint32_t>& group_cols,
+                                  const std::vector<AggregateSpec>& aggs) {
+  struct GroupState {
+    std::vector<Value> key;
+    std::vector<double> acc;  // sum / min / max / count per aggregate
+    std::vector<uint64_t> n;  // rows seen per aggregate (for avg)
+  };
+  std::vector<GroupState> groups;  // first-seen order
+  // Hash of key values -> index into groups (collisions resolved by full
   // key comparison).
   std::unordered_multimap<uint64_t, size_t> lookup;
-  Tuple t;
-  while (child_->Next(&t)) {
+  for (const Tuple& t : rows) {
     std::vector<Value> key;
-    key.reserve(group_cols_.size());
+    key.reserve(group_cols.size());
     uint64_t h = 0xcbf29ce484222325ULL;
-    for (size_t c : group_cols_) {
+    for (uint32_t c : group_cols) {
       const Value& v = ColumnOrDefault(t, c);
       key.push_back(v);
       h = HashCombine(h, v.Hash());
@@ -177,23 +109,23 @@ void GroupByAggregate::Open() {
     size_t idx = SIZE_MAX;
     auto [lo, hi] = lookup.equal_range(h);
     for (auto it = lo; it != hi; ++it) {
-      if (groups_[it->second].key == key) {
+      if (groups[it->second].key == key) {
         idx = it->second;
         break;
       }
     }
     if (idx == SIZE_MAX) {
-      idx = groups_.size();
+      idx = groups.size();
       GroupState g;
       g.key = std::move(key);
-      g.acc.resize(aggs_.size(), 0.0);
-      g.n.resize(aggs_.size(), 0);
-      groups_.push_back(std::move(g));
+      g.acc.resize(aggs.size(), 0.0);
+      g.n.resize(aggs.size(), 0);
+      groups.push_back(std::move(g));
       lookup.emplace(h, idx);
     }
-    GroupState& g = groups_[idx];
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      const AggregateSpec& spec = aggs_[a];
+    GroupState& g = groups[idx];
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      const AggregateSpec& spec = aggs[a];
       double v = spec.kind == AggregateSpec::kCount
                      ? 0.0
                      : NumericOf(ColumnOrDefault(t, spec.col));
@@ -215,88 +147,53 @@ void GroupByAggregate::Open() {
       g.n[a] += 1;
     }
   }
-}
-
-bool GroupByAggregate::Next(Tuple* out) {
-  if (emit_pos_ >= groups_.size()) return false;
-  const GroupState& g = groups_[emit_pos_++];
-  std::vector<Value> vals = g.key;
-  for (size_t a = 0; a < aggs_.size(); ++a) {
-    switch (aggs_[a].kind) {
-      case AggregateSpec::kCount:
-        vals.push_back(Value(static_cast<uint64_t>(g.acc[a])));
-        break;
-      case AggregateSpec::kAvg:
-        vals.push_back(
-            Value(g.n[a] == 0 ? 0.0 : g.acc[a] / static_cast<double>(g.n[a])));
-        break;
-      default:
-        vals.push_back(Value(g.acc[a]));
-        break;
+  std::vector<Tuple> out;
+  out.reserve(groups.size());
+  for (GroupState& g : groups) {
+    std::vector<Value> vals = std::move(g.key);
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      switch (aggs[a].kind) {
+        case AggregateSpec::kCount:
+          vals.push_back(Value(static_cast<uint64_t>(g.acc[a])));
+          break;
+        case AggregateSpec::kAvg:
+          vals.push_back(Value(
+              g.n[a] == 0 ? 0.0 : g.acc[a] / static_cast<double>(g.n[a])));
+          break;
+        default:
+          vals.push_back(Value(g.acc[a]));
+          break;
+      }
     }
+    out.push_back(Tuple(std::move(vals)));
   }
-  *out = Tuple(std::move(vals));
-  return true;
+  return out;
 }
 
-void GroupByAggregate::Close() {
-  child_->Close();
-  groups_.clear();
-}
-
-TopK::TopK(std::unique_ptr<Operator> child, size_t col, size_t k,
-           bool descending)
-    : child_(std::move(child)), col_(col), k_(k), descending_(descending) {}
-
-void TopK::Open() {
-  child_->Open();
-  heap_.clear();
-  emit_pos_ = 0;
-  if (k_ == 0) return;
-  // "Better" = should be kept; the heap root is the worst retained tuple.
-  auto better = [this](const Tuple& a, const Tuple& b) {
-    const Value& x = ColumnOrDefault(a, col_);
-    const Value& y = ColumnOrDefault(b, col_);
-    return descending_ ? y < x : x < y;
+std::vector<Tuple> TopK(std::vector<Tuple> rows, size_t col, size_t k,
+                        bool descending) {
+  std::vector<Tuple> heap;
+  if (k == 0) return heap;
+  // "Better" = should be kept; the heap root is the worst retained row.
+  auto better = [col, descending](const Tuple& a, const Tuple& b) {
+    const Value& x = ColumnOrDefault(a, col);
+    const Value& y = ColumnOrDefault(b, col);
+    return descending ? y < x : x < y;
   };
-  auto worst_first = [&](const Tuple& a, const Tuple& b) {
-    return better(a, b);  // max-heap on "badness": root = worst retained
-  };
-  Tuple t;
-  while (child_->Next(&t)) {
-    if (heap_.size() < k_) {
-      heap_.push_back(std::move(t));
-      std::push_heap(heap_.begin(), heap_.end(), worst_first);
-    } else if (better(t, heap_.front())) {
-      std::pop_heap(heap_.begin(), heap_.end(), worst_first);
-      heap_.back() = std::move(t);
-      std::push_heap(heap_.begin(), heap_.end(), worst_first);
+  for (Tuple& t : rows) {
+    if (heap.size() < k) {
+      heap.push_back(std::move(t));
+      std::push_heap(heap.begin(), heap.end(), better);
+    } else if (better(t, heap.front())) {
+      std::pop_heap(heap.begin(), heap.end(), better);
+      heap.back() = std::move(t);
+      std::push_heap(heap.begin(), heap.end(), better);
     }
-    t = Tuple();
   }
   // sort_heap orders ascending under the comparator; with "better" playing
-  // the role of less-than, that is best-first — the emission order.
-  std::sort_heap(heap_.begin(), heap_.end(), worst_first);
-}
-
-bool TopK::Next(Tuple* out) {
-  if (emit_pos_ >= heap_.size()) return false;
-  *out = heap_[emit_pos_++];
-  return true;
-}
-
-void TopK::Close() {
-  child_->Close();
-  heap_.clear();
-}
-
-std::vector<Tuple> Collect(Operator* op) {
-  std::vector<Tuple> out;
-  op->Open();
-  Tuple t;
-  while (op->Next(&t)) out.push_back(std::move(t));
-  op->Close();
-  return out;
+  // the role of less-than, that is best-first.
+  std::sort_heap(heap.begin(), heap.end(), better);
+  return heap;
 }
 
 }  // namespace pierstack::pier

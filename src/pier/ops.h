@@ -1,14 +1,15 @@
-// Local relational operators.
+// Local relational operators over row vectors.
 //
-// The pull-based Operator interface (Open/Next/Close iterators) serves
-// node-local query plans and tests; SymmetricHashJoin is the incremental
-// join PIER runs inside the distributed keyword chain (paper Section 3.2:
-// "the receiving node will perform a symmetric hash join (SHJ) between the
-// incoming tuples and its local matching tuples").
+// SymmetricHashJoin is the incremental join PIER runs inside the
+// distributed keyword chain (paper Section 3.2: "the receiving node will
+// perform a symmetric hash join (SHJ) between the incoming tuples and its
+// local matching tuples"). GroupAggregate and TopK are the blocking
+// finishers a plan's GroupAggregate / TopK nodes run at the query node
+// (plan_exec.h applies them); HashJoin is the blocking join the SHJ is
+// checked against.
 #pragma once
 
-#include <functional>
-#include <memory>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -84,98 +85,6 @@ class JoinTable {
   std::vector<uint32_t> slots_;  ///< 1-based entry index; 0 = empty.
 };
 
-/// Pull-based iterator over tuples (Volcano style).
-class Operator {
- public:
-  virtual ~Operator() = default;
-  virtual void Open() = 0;
-  /// Produces the next tuple; returns false when exhausted.
-  virtual bool Next(Tuple* out) = 0;
-  virtual void Close() {}
-};
-
-/// Scans an in-memory tuple vector (e.g. a LocalStore namespace snapshot).
-/// Next() hands out the stored tuple handle — a refcount bump on the
-/// shared row payload, not a deep copy — so the scan stays re-Openable
-/// (GroupByAggregate and tests replay inputs).
-class VectorScan : public Operator {
- public:
-  explicit VectorScan(std::vector<Tuple> tuples)
-      : tuples_(std::move(tuples)) {}
-  void Open() override { pos_ = 0; }
-  bool Next(Tuple* out) override;
-
- private:
-  std::vector<Tuple> tuples_;
-  size_t pos_ = 0;
-};
-
-/// Filters by predicate.
-class Selection : public Operator {
- public:
-  using Predicate = std::function<bool(const Tuple&)>;
-  Selection(std::unique_ptr<Operator> child, Predicate pred)
-      : child_(std::move(child)), pred_(std::move(pred)) {}
-  void Open() override { child_->Open(); }
-  bool Next(Tuple* out) override;
-  void Close() override { child_->Close(); }
-
- private:
-  std::unique_ptr<Operator> child_;
-  Predicate pred_;
-};
-
-/// Projects a subset of columns, in the given order.
-class Projection : public Operator {
- public:
-  Projection(std::unique_ptr<Operator> child, std::vector<size_t> cols)
-      : child_(std::move(child)), cols_(std::move(cols)) {}
-  void Open() override { child_->Open(); }
-  bool Next(Tuple* out) override;
-  void Close() override { child_->Close(); }
-
- private:
-  std::unique_ptr<Operator> child_;
-  std::vector<size_t> cols_;
-};
-
-/// Stops after `limit` tuples.
-class Limit : public Operator {
- public:
-  Limit(std::unique_ptr<Operator> child, size_t limit)
-      : child_(std::move(child)), limit_(limit) {}
-  void Open() override {
-    child_->Open();
-    produced_ = 0;
-  }
-  bool Next(Tuple* out) override;
-  void Close() override { child_->Close(); }
-
- private:
-  std::unique_ptr<Operator> child_;
-  size_t limit_;
-  size_t produced_ = 0;
-};
-
-/// Classic build/probe equi-join (builds the right input on Open).
-/// Output tuples are left ++ right concatenations.
-class HashJoin : public Operator {
- public:
-  HashJoin(std::unique_ptr<Operator> left, std::unique_ptr<Operator> right,
-           size_t left_col, size_t right_col);
-  void Open() override;
-  bool Next(Tuple* out) override;
-  void Close() override;
-
- private:
-  std::unique_ptr<Operator> left_;
-  std::unique_ptr<Operator> right_;
-  size_t left_col_, right_col_;
-  JoinTable build_;
-  Tuple current_left_;
-  std::vector<Tuple> pending_;  // matches of current_left_ not yet emitted
-};
-
 /// Incremental symmetric hash join: tuples may be inserted on either side
 /// in any order; each insertion returns the join outputs it completes.
 /// Output tuples are left ++ right concatenations regardless of insertion
@@ -207,59 +116,34 @@ class SymmetricHashJoin {
   size_t left_count_ = 0, right_count_ = 0;
 };
 
-/// One aggregate column of a GroupByAggregate.
+/// One aggregate column of a GroupAggregate.
 struct AggregateSpec {
   enum Kind { kCount, kSum, kMin, kMax, kAvg };
   Kind kind;
   size_t col = 0;  ///< Input column (ignored for kCount).
 };
 
-/// Blocking hash group-by with the classic aggregates. Output rows are the
-/// group-key columns followed by one column per aggregate (kAvg emits a
-/// double; the others preserve/emit uint64-compatible Values).
-class GroupByAggregate : public Operator {
- public:
-  GroupByAggregate(std::unique_ptr<Operator> child,
-                   std::vector<size_t> group_cols,
-                   std::vector<AggregateSpec> aggregates);
-  void Open() override;
-  bool Next(Tuple* out) override;
-  void Close() override;
+/// Blocking equi-join on left.left_col == right.right_col: builds `right`,
+/// then emits, for each `left` row in order, its left ++ right
+/// concatenations, the last-built match first. The reference the
+/// SymmetricHashJoin tests compare against.
+std::vector<Tuple> HashJoin(const std::vector<Tuple>& left,
+                            const std::vector<Tuple>& right, size_t left_col,
+                            size_t right_col);
 
- private:
-  struct GroupState {
-    std::vector<Value> key;
-    std::vector<double> acc;   // sum / min / max / count per aggregate
-    std::vector<uint64_t> n;   // rows seen per aggregate (for avg)
-  };
+/// Hash group-by with the classic aggregates. Output rows are the
+/// group-key columns followed by one column per aggregate, one row per
+/// group in first-seen order. kCount emits a uint64; kSum, kMin, kMax and
+/// kAvg emit doubles (string columns aggregate as 0). A column past a row's
+/// arity reads as Value(), as Expr::Eval reads it.
+std::vector<Tuple> GroupAggregate(const std::vector<Tuple>& rows,
+                                  const std::vector<uint32_t>& group_cols,
+                                  const std::vector<AggregateSpec>& aggs);
 
-  std::unique_ptr<Operator> child_;
-  std::vector<size_t> group_cols_;
-  std::vector<AggregateSpec> aggs_;
-  std::vector<GroupState> groups_;
-  size_t emit_pos_ = 0;
-};
-
-/// Top-K by a column (ascending or descending); blocking. Useful for
-/// "best results first" style plans over Item tuples.
-class TopK : public Operator {
- public:
-  TopK(std::unique_ptr<Operator> child, size_t col, size_t k,
-       bool descending = true);
-  void Open() override;
-  bool Next(Tuple* out) override;
-  void Close() override;
-
- private:
-  std::unique_ptr<Operator> child_;
-  size_t col_;
-  size_t k_;
-  bool descending_;
-  std::vector<Tuple> heap_;
-  size_t emit_pos_ = 0;
-};
-
-/// Drains an operator tree into a vector (testing/examples convenience).
-std::vector<Tuple> Collect(Operator* op);
+/// The `k` best rows by column `col` (largest first when `descending`),
+/// best first. Ties keep the order a bounded heap and std::sort_heap leave
+/// them in; a column past a row's arity reads as Value().
+std::vector<Tuple> TopK(std::vector<Tuple> rows, size_t col, size_t k,
+                        bool descending = true);
 
 }  // namespace pierstack::pier

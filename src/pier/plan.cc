@@ -447,16 +447,21 @@ Result<QueryPlan> QueryPlan::Deserialize(BytesReader* r) {
   if (!plan.nodes.empty() && plan.root >= plan.nodes.size()) {
     return Status::Corruption("plan root out of range");
   }
-  // Children must precede their parent in the pool (PlanBuilder's
-  // invariant): this both bounds every walk — a hostile image cannot
-  // encode a cycle that would hang the compiler or printer — and keeps
-  // range checks local.
-  for (uint32_t i = 0; i < plan.nodes.size(); ++i) {
-    for (uint32_t c : plan.nodes[i].children) {
-      if (c >= i) return Status::Corruption("plan child out of order");
-    }
+  // A hostile image must not encode a cycle that would hang the compiler
+  // or printer.
+  if (!plan.ChildrenPrecedeParents()) {
+    return Status::Corruption("plan child out of order");
   }
   return plan;
+}
+
+bool QueryPlan::ChildrenPrecedeParents() const {
+  for (uint32_t i = 0; i < nodes.size(); ++i) {
+    for (uint32_t c : nodes[i].children) {
+      if (c >= i) return false;
+    }
+  }
+  return true;
 }
 
 Result<QueryPlan> QueryPlan::Deserialize(const std::vector<uint8_t>& image) {

@@ -141,6 +141,10 @@ struct QueryPlan {
 
   bool empty() const { return nodes.empty(); }
   const PlanNode& at(uint32_t i) const { return nodes[i]; }
+  /// PlanBuilder's invariant: every child index is below its parent's, so
+  /// every walk down the plan ends and stays in range. Deserialize and
+  /// CompilePlan both refuse a plan without it.
+  bool ChildrenPrecedeParents() const;
 
   size_t WireSize() const;
   void SerializeTo(BytesWriter* w) const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
 
 #include "pier/node.h"
 
@@ -21,37 +20,6 @@ bool IsUnaryFinisher(NodeKind k) {
   return k == NodeKind::kFilter || k == NodeKind::kProject ||
          k == NodeKind::kGroupAggregate || k == NodeKind::kTopK ||
          k == NodeKind::kLimit || k == NodeKind::kFetchJoin;
-}
-
-Result<LocalOpSpec> ToLocalOp(const PlanNode& n) {
-  LocalOpSpec op;
-  switch (n.kind) {
-    case NodeKind::kFilter:
-      op.kind = LocalOpSpec::Kind::kFilter;
-      op.expr = n.expr;
-      return op;
-    case NodeKind::kProject:
-      op.kind = LocalOpSpec::Kind::kProject;
-      op.cols.assign(n.cols.begin(), n.cols.end());
-      return op;
-    case NodeKind::kGroupAggregate:
-      op.kind = LocalOpSpec::Kind::kGroupAggregate;
-      op.cols.assign(n.cols.begin(), n.cols.end());
-      op.aggs = n.aggs;
-      return op;
-    case NodeKind::kTopK:
-      op.kind = LocalOpSpec::Kind::kTopK;
-      op.sort_col = n.sort_col;
-      op.n = static_cast<size_t>(n.n);
-      op.descending = n.descending;
-      return op;
-    case NodeKind::kLimit:
-      op.kind = LocalOpSpec::Kind::kLimit;
-      op.n = static_cast<size_t>(n.n);
-      return op;
-    default:
-      return Status::InvalidArgument("operator cannot run as a finisher");
-  }
 }
 
 ExecStage StageFromScan(const PlanNode& scan) {
@@ -108,10 +76,42 @@ Result<ExecStage> CompileStage(const QueryPlan& plan, uint32_t idx,
 
 }  // namespace
 
+bool RowCap::Admit(const Tuple& row) {
+  if (cap_ == StagedQuery::Cap::kNone) return true;
+  if (kept_ >= limit_) return false;
+  if (cap_ == StagedQuery::Cap::kJoinKeys) {
+    const Value& key = row.at(0);
+    uint64_t h = key.Hash();
+    bool seen = false;
+    keys_.ForEachMatch(h, [&](const Tuple& kept) {
+      seen = seen || kept.at(0) == key;
+    });
+    if (seen) return false;
+    keys_.Insert(h, row);
+  }
+  ++kept_;
+  return true;
+}
+
+void RowCap::Apply(std::vector<Tuple>* rows) {
+  if (cap_ == StagedQuery::Cap::kNone) return;
+  size_t n = 0;
+  for (size_t i = 0; i < rows->size(); ++i) {
+    if (!Admit((*rows)[i])) continue;
+    if (n != i) (*rows)[n] = std::move((*rows)[i]);
+    ++n;
+  }
+  rows->resize(n);
+}
+
 Result<CompiledPlan> CompilePlan(const QueryPlan& plan) {
   if (plan.empty()) return Status::InvalidArgument("empty plan");
   if (plan.root >= plan.nodes.size()) {
     return Status::InvalidArgument("plan root out of range");
+  }
+  // Every walk below descends to strictly smaller node indices.
+  if (!plan.ChildrenPrecedeParents()) {
+    return Status::InvalidArgument("plan child does not precede its parent");
   }
   CompiledPlan out;
 
@@ -200,67 +200,68 @@ Result<CompiledPlan> CompilePlan(const QueryPlan& plan) {
     pending.assign(rest.rbegin(), rest.rend());
   }
 
-  // Phase 3: materialize the finisher lists (execution order = reversed).
-  // Limits stay positional — a Limit below a TopK must cut the input the
-  // TopK sees, not the final answer.
-  auto emit = [&](const std::vector<uint32_t>& list,
-                  std::vector<LocalOpSpec>* ops) -> Status {
-    for (auto it = list.rbegin(); it != list.rend(); ++it) {
-      auto op = ToLocalOp(plan.nodes[*it]);
-      if (!op.ok()) return op.status();
-      ops->push_back(std::move(op.value()));
-    }
-    return Status::OK();
-  };
-  Status s = emit(pending, &out.entry_ops);
-  if (!s.ok()) return s;
-  s = emit(above_fetch, &out.tuple_ops);
-  if (!s.ok()) return s;
+  // Phase 3: the finisher lists, in execution order (reversed).
+  for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
+    out.entry_ops.push_back(plan.nodes[*it]);
+  }
+  for (auto it = above_fetch.rbegin(); it != above_fetch.rend(); ++it) {
+    out.tuple_ops.push_back(plan.nodes[*it]);
+  }
 
   // Only an OUTERMOST Limit is the plan's answer cap — hoisted so the
   // staged engine can truncate at the last stage and the fetch leg can
   // bound its key set. Inner Limits keep their place in the pipeline.
-  std::vector<LocalOpSpec>* last_ops =
+  std::vector<PlanNode>* last_ops =
       out.fetch ? &out.tuple_ops : &out.entry_ops;
-  if (!last_ops->empty() &&
-      last_ops->back().kind == LocalOpSpec::Kind::kLimit) {
-    out.limit = last_ops->back().n;
+  if (!last_ops->empty() && last_ops->back().kind == NodeKind::kLimit) {
+    out.limit = static_cast<size_t>(last_ops->back().n);
     last_ops->pop_back();
   }
   out.staged.limit = out.limit;
-  out.staged.cap_results = out.entry_ops.empty() && out.tuple_ops.empty();
+  if (!out.entry_ops.empty() || !out.tuple_ops.empty()) {
+    out.staged.cap = StagedQuery::Cap::kNone;
+  } else if (out.fetch) {
+    out.staged.cap = StagedQuery::Cap::kJoinKeys;
+  }
   return out;
 }
 
-std::vector<Tuple> ApplyLocalOps(std::vector<Tuple> input,
-                                 const std::vector<LocalOpSpec>& ops) {
-  if (ops.empty()) return input;
-  std::unique_ptr<Operator> tree =
-      std::make_unique<VectorScan>(std::move(input));
-  for (const LocalOpSpec& op : ops) {
-    switch (op.kind) {
-      case LocalOpSpec::Kind::kFilter:
-        tree = std::make_unique<Selection>(
-            std::move(tree),
-            [expr = op.expr](const Tuple& t) { return expr.Matches(t); });
+std::vector<Tuple> ApplyFinishers(std::vector<Tuple> rows,
+                                  const std::vector<PlanNode>& finishers) {
+  for (const PlanNode& n : finishers) {
+    switch (n.kind) {
+      case NodeKind::kFilter:
+        rows.erase(std::remove_if(rows.begin(), rows.end(),
+                                  [&n](const Tuple& row) {
+                                    return !n.expr.Matches(row);
+                                  }),
+                   rows.end());
         break;
-      case LocalOpSpec::Kind::kProject:
-        tree = std::make_unique<Projection>(std::move(tree), op.cols);
+      case NodeKind::kProject:
+        for (Tuple& row : rows) {
+          std::vector<Value> vals;
+          vals.reserve(n.cols.size());
+          for (uint32_t c : n.cols) {
+            vals.push_back(c < row.arity() ? row.at(c) : Value());
+          }
+          row = Tuple(std::move(vals));
+        }
         break;
-      case LocalOpSpec::Kind::kGroupAggregate:
-        tree = std::make_unique<GroupByAggregate>(std::move(tree), op.cols,
-                                                  op.aggs);
+      case NodeKind::kGroupAggregate:
+        rows = GroupAggregate(rows, n.cols, n.aggs);
         break;
-      case LocalOpSpec::Kind::kTopK:
-        tree = std::make_unique<TopK>(std::move(tree), op.sort_col, op.n,
-                                      op.descending);
+      case NodeKind::kTopK:
+        rows = TopK(std::move(rows), n.sort_col, static_cast<size_t>(n.n),
+                    n.descending);
         break;
-      case LocalOpSpec::Kind::kLimit:
-        tree = std::make_unique<Limit>(std::move(tree), op.n);
+      case NodeKind::kLimit:
+        if (rows.size() > n.n) rows.resize(static_cast<size_t>(n.n));
+        break;
+      default:  // CompilePlan hands over finisher kinds only
         break;
     }
   }
-  return Collect(tree.get());
+  return rows;
 }
 
 // ---------------------------------------------------------------------------
@@ -285,49 +286,30 @@ void PierNode::ExecutePlan(QueryPlan plan, PlanCallback callback,
   ExecuteStaged(
       std::move(staged),
       [this, cp, callback = std::move(callback), deadline](
-          Status s, std::vector<JoinResultEntry> entries,
+          Status s, std::vector<Tuple> rows,
           const Completeness& stage_c) mutable {
         Completeness plan_c = stage_c;
-        // A failed staged leg still carries whatever entries arrived — the
-        // completeness record labels the gap instead of the old behavior
-        // of zeroing out the partial answer on TimedOut.
-        std::vector<Tuple> rows;
-        rows.reserve(entries.size());
-        for (JoinResultEntry& e : entries) {
-          rows.push_back(Tuple::Concat(
-              Tuple(std::vector<Value>{std::move(e.join_key)}), e.payload));
-        }
-        rows = ApplyLocalOps(std::move(rows), cp->entry_ops);
+        // A failed staged leg still carries whatever rows arrived — the
+        // completeness record labels the gap.
+        rows = ApplyFinishers(std::move(rows), cp->entry_ops);
         if (!cp->fetch) {
           if (rows.size() > cp->limit) rows.resize(cp->limit);
           if (!plan_c.exact) ++metrics_->partial_results;
           callback(std::move(s), std::move(rows), plan_c);
           return;
         }
-        // Fetch leg: resolve the surviving join keys (column 0) through
-        // one owner-coalesced fetch. Dedupe before truncating (duplicate
-        // keys must not evict distinct results at the cap); skip the
-        // truncation when a post-fetch finisher needs every candidate.
+        // Fetch leg: resolve the surviving rows' distinct join keys
+        // (column 0) through one owner-coalesced fetch, the first `limit`
+        // of them unless a post-fetch finisher needs every candidate.
+        RowCap distinct(StagedQuery::Cap::kJoinKeys,
+                        cp->tuple_ops.empty() ? cp->limit : SIZE_MAX);
         std::vector<Value> keys;
         keys.reserve(rows.size());
-        std::unordered_map<uint64_t, std::vector<size_t>> seen;
         for (const Tuple& r : rows) {
-          if (r.arity() == 0) continue;
-          const Value& k = r.at(0);
-          std::vector<size_t>& bucket = seen[k.Hash()];
-          bool dup = false;
-          for (size_t i : bucket) {
-            if (keys[i] == k) {
-              dup = true;
-              break;
-            }
+          if (distinct.full()) break;
+          if (r.arity() > 0 && distinct.Admit(r)) {
+            keys.push_back(r.at(0).Materialize());
           }
-          if (dup) continue;
-          bucket.push_back(keys.size());
-          keys.push_back(k.Materialize());
-        }
-        if (cp->tuple_ops.empty() && keys.size() > cp->limit) {
-          keys.resize(cp->limit);
         }
         if (keys.empty()) {
           if (!plan_c.exact) ++metrics_->partial_results;
@@ -365,7 +347,7 @@ void PierNode::ExecutePlan(QueryPlan plan, PlanCallback callback,
               // merged completeness record carries the fetch leg's gap.
               (void)fs;
               plan_c.Merge(fetch_c);
-              tuples = ApplyLocalOps(std::move(tuples), cp->tuple_ops);
+              tuples = ApplyFinishers(std::move(tuples), cp->tuple_ops);
               if (tuples.size() > cp->limit) tuples.resize(cp->limit);
               if (!plan_c.exact) ++metrics_->partial_results;
               callback(staged_status.ok() ? Status::OK()

@@ -1,13 +1,15 @@
 // Plan compilation and query-node finishing: lowers a declarative
 // QueryPlan (plan.h) into the staged form PierNode's distributed engine
-// ships over the DHT, plus the local Volcano operators (ops.h) applied at
-// the query node once the distributed stages complete.
+// ships over the DHT, plus the finisher nodes the query node applies to the
+// rows the stages return.
 //
 // In the staged form every distributed stage is an index scan at the stage
 // key's owner with an optional serializable Expr filter and payload
-// projection, symmetric-hash-joined against the incoming entry list. Join
-// chains are the two-table special case. PierNode::ExecutePlan is the one
-// entry point that compiles and runs a plan.
+// projection, symmetric-hash-joined against the incoming rows. Rows are
+// [join_key, payload...] Tuples from the stage scan to the plan callback,
+// and travel between nodes as their TupleBatch image. Join chains are the
+// two-table special case. PierNode::ExecutePlan is the one entry point
+// that compiles and runs a plan.
 #pragma once
 
 #include <string>
@@ -20,14 +22,16 @@
 namespace pierstack::pier {
 
 /// One distributed stage of a compiled plan: scan (ns, key) at the owner,
-/// filter with `filter`, and join against the incoming entry list on
-/// `join_col` (stage 0 seeds the list instead).
+/// filter with `filter`, and make each surviving tuple a [join_key,
+/// payload...] row whose join key is its `join_col` column. Stage 0 seeds
+/// the row list; a later stage keeps the incoming rows whose join key one
+/// of its own rows shares.
 struct ExecStage {
   std::string ns;
   Value key;
   size_t key_col = 0;
   size_t join_col = 1;
-  /// Columns carried as entry payload (stage 0 only contributes payload).
+  /// Columns carried as row payload (stage 0 only contributes payload).
   std::vector<size_t> payload_cols;
   /// Predicate over the stored tuple (kTrue = admit everything).
   Expr filter;
@@ -36,63 +40,79 @@ struct ExecStage {
 };
 
 /// What the distributed engine executes: the stage chain plus the final
-/// answer cap. `cap_results` is cleared when query-node finishers need the
-/// full surviving set (a TopK over a fetched column must see every
-/// candidate; truncating at the last stage would pick arrival order).
+/// answer cap, applied at the last stage and again as replies accumulate
+/// at the query node.
 struct StagedQuery {
+  enum class Cap : uint8_t {
+    /// No cap: query-node finishers need the full surviving set (a TopK
+    /// over a fetched column must see every candidate; truncating at the
+    /// last stage would pick arrival order).
+    kNone,
+    /// The first `limit` rows.
+    kRows,
+    /// Rows up to `limit` distinct join keys, dropping a row whose key is
+    /// already kept: a FetchJoin reads only the join key (column 0), so
+    /// duplicate keys must not use up the cap.
+    kJoinKeys,
+  };
   std::vector<ExecStage> stages;
   size_t limit = SIZE_MAX;
-  bool cap_results = true;
+  Cap cap = Cap::kRows;
 };
 
-/// One query-node finishing operator, applied over materialized rows via
-/// the Volcano operators of ops.h.
-struct LocalOpSpec {
-  enum class Kind : uint8_t {
-    kFilter = 0,
-    kProject = 1,
-    kGroupAggregate = 2,
-    kTopK = 3,
-    kLimit = 4,
-  };
-  Kind kind = Kind::kFilter;
-  Expr expr;                        ///< kFilter.
-  std::vector<size_t> cols;         ///< kProject / kGroupAggregate groups.
-  std::vector<AggregateSpec> aggs;  ///< kGroupAggregate.
-  size_t sort_col = 0;              ///< kTopK.
-  size_t n = 0;                     ///< kTopK k / kLimit cap.
-  bool descending = true;           ///< kTopK.
+/// A StagedQuery's answer cap over rows arriving in any number of batches.
+class RowCap {
+ public:
+  RowCap(StagedQuery::Cap cap, size_t limit) : cap_(cap), limit_(limit) {}
+
+  /// Whether the cap already holds `limit` rows (or distinct join keys).
+  bool full() const {
+    return cap_ != StagedQuery::Cap::kNone && kept_ >= limit_;
+  }
+  /// Whether to keep `row`, counting it when kept. Under kJoinKeys the row
+  /// needs a join key and stays referenced as its key's witness.
+  bool Admit(const Tuple& row);
+  /// Drops from `rows`, in order, every row Admit refuses.
+  void Apply(std::vector<Tuple>* rows);
+
+ private:
+  StagedQuery::Cap cap_;
+  size_t limit_;
+  size_t kept_ = 0;
+  JoinTable keys_;  ///< kJoinKeys: the first kept row of each join key.
 };
 
 /// A fully compiled plan. Row layout through the pipeline:
-///  * distributed stages produce entries, materialized at the query node
-///    as [join_key, payload...] rows;
-///  * `entry_ops` run over those rows;
+///  * distributed stages produce [join_key, payload...] rows;
+///  * the `entry_ops` finishers run over those rows;
 ///  * with `fetch`, the surviving rows' join keys (column 0) are resolved
-///    through one owner-coalesced FetchMany against `fetch_ns`, and
-///    `tuple_ops` run over the fetched tuples.
+///    through one owner-coalesced FetchMany against `fetch_ns`, and the
+///    `tuple_ops` finishers run over the fetched tuples.
+/// Finishers are the plan's own Filter / Project / GroupAggregate / TopK /
+/// Limit nodes, in execution order.
 struct CompiledPlan {
   StagedQuery staged;
-  std::vector<LocalOpSpec> entry_ops;
+  std::vector<PlanNode> entry_ops;
   bool fetch = false;
   std::string fetch_ns;
   size_t fetch_key_col = 0;
-  std::vector<LocalOpSpec> tuple_ops;
-  /// Final answer cap: an OUTERMOST kLimit, hoisted so the staged engine
+  std::vector<PlanNode> tuple_ops;
+  /// Final answer cap: an OUTERMOST Limit, hoisted so the staged engine
   /// can truncate at the last stage and the fetch leg can bound its key
-  /// set. A Limit beneath other finishers stays a positional op (it cuts
-  /// the input those finishers see, not the answer).
+  /// set. A Limit beneath other finishers stays a finisher (it cuts the
+  /// input those finishers see, not the answer).
   size_t limit = SIZE_MAX;
 };
 
 /// Lowers `plan` into its executable form. Fails with InvalidArgument for
 /// shapes the distributed engine cannot run (a non-scan join input, a
-/// FetchJoin below a join, an empty plan, ...).
+/// FetchJoin below a join, an empty plan, a child index that does not
+/// precede its parent, ...).
 Result<CompiledPlan> CompilePlan(const QueryPlan& plan);
 
-/// Runs `ops` over `input` through ops.h's operator tree; returns the
-/// surviving rows.
-std::vector<Tuple> ApplyLocalOps(std::vector<Tuple> input,
-                                 const std::vector<LocalOpSpec>& ops);
+/// Runs `finishers` over `rows` in order. A column past a row's arity
+/// reads as Value(), as Expr::Eval reads it.
+std::vector<Tuple> ApplyFinishers(std::vector<Tuple> rows,
+                                  const std::vector<PlanNode>& finishers);
 
 }  // namespace pierstack::pier

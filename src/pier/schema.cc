@@ -1,5 +1,7 @@
 #include "pier/schema.h"
 
+#include <cassert>
+
 namespace pierstack::pier {
 
 Schema::Schema(std::string table_name, std::vector<Field> fields,

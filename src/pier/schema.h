@@ -11,7 +11,6 @@
 // new rows.
 #pragma once
 
-#include <cassert>
 #include <memory>
 #include <string>
 #include <vector>
@@ -85,17 +84,6 @@ class Tuple {
   /// Value of the schema's DHT index field.
   const Value& IndexValue(const Schema& schema) const {
     return at(schema.index_field());
-  }
-
-  /// The suffix of this tuple starting at column `from`, sharing the same
-  /// payload (no copy) — e.g. the payload columns after a join key.
-  Tuple SubTuple(size_t from) const {
-    assert(from <= len_);
-    Tuple t;
-    t.values_ = values_;
-    t.begin_ = begin_ + static_cast<uint32_t>(from);
-    t.len_ = len_ - static_cast<uint32_t>(from);
-    return t;
   }
 
   /// A compacted deep copy that owns exactly its own row: slice tuples of a

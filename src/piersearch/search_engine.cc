@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 
 #include "common/tokenizer.h"
@@ -118,7 +117,6 @@ void SearchEngine::Search(const std::string& query_text,
 
 void SearchEngine::RunPlan(QueryPlan plan, const SearchOptions& options,
                            SearchCallback callback) {
-  if (options.plan_rewrite) options.plan_rewrite(&plan);
   bool fetched = options.fetch_items;
   pier_->ExecutePlan(
       std::move(plan),
@@ -157,72 +155,6 @@ void SearchEngine::RunPlan(QueryPlan plan, const SearchOptions& options,
         callback(std::move(s), std::move(hits), completeness);
       },
       options.timeout);
-}
-
-void SearchEngine::FetchItems(std::vector<uint64_t> file_ids,
-                              const SearchOptions& options,
-                              SearchCallback callback) {
-  // Dedupe before truncating: duplicate join keys must not push distinct
-  // results past the max_results cut.
-  std::unordered_set<uint64_t> seen;
-  std::vector<uint64_t> unique;
-  unique.reserve(file_ids.size());
-  for (uint64_t id : file_ids) {
-    if (seen.insert(id).second) unique.push_back(id);
-  }
-  if (unique.size() > options.max_results) {
-    unique.resize(options.max_results);
-  }
-  if (unique.empty()) {
-    callback(Status::OK(), {}, pier::Completeness{});
-    return;
-  }
-  std::vector<Value> keys;
-  keys.reserve(unique.size());
-  for (uint64_t id : unique) keys.emplace_back(Value(id));
-  // The fetch leg honors the query deadline: without this watchdog only
-  // the join leg was timeout-bounded and a dead Item owner could hang the
-  // query indefinitely.
-  sim::Executor* simulator = pier_->dht()->network()->executor();
-  auto done = std::make_shared<bool>(false);
-  auto shared_cb =
-      std::make_shared<SearchCallback>(std::move(callback));
-  sim::EventId watchdog = simulator->ScheduleAfter(
-      pier_->dht()->host(), options.timeout, [done, shared_cb]() {
-        if (*done) return;
-        *done = true;
-        pier::Completeness c;
-        c.exact = false;
-        c.coverage_fraction = 0.0;
-        (*shared_cb)(Status::TimedOut("item fetch"), {}, c);
-      });
-  pier_->FetchMany(
-      ItemSchema(), std::move(keys),
-      [simulator, done, shared_cb, watchdog](
-          Status s, std::vector<Tuple> tuples,
-          const pier::Completeness& completeness) {
-        if (*done) return;  // the watchdog already failed the query
-        *done = true;
-        simulator->Cancel(watchdog);
-        // Best-effort like the per-id loop this replaced: a slow or dead
-        // owner must not zero out the hits the other owners delivered —
-        // FetchMany hands over whatever arrived, and the completeness
-        // record labels the shortfall.
-        (void)s;
-        std::vector<SearchHit> hits;
-        hits.reserve(tuples.size());
-        for (const auto& t : tuples) {
-          if (t.arity() < 5) continue;
-          SearchHit h;
-          h.file_id = t.at(kItemFileId).AsUint64();
-          h.filename = std::string(t.at(kItemFilename).AsString());
-          h.size_bytes = t.at(kItemFilesize).AsUint64();
-          h.address = static_cast<uint32_t>(t.at(kItemAddress).AsUint64());
-          h.port = static_cast<uint16_t>(t.at(kItemPort).AsUint64());
-          hits.push_back(std::move(h));
-        }
-        (*shared_cb)(Status::OK(), std::move(hits), completeness);
-      });
 }
 
 }  // namespace pierstack::piersearch

@@ -48,11 +48,6 @@ struct SearchOptions {
   bool fetch_items = true;
   size_t max_results = 200;
   sim::SimTime timeout = 30 * sim::kSecond;
-  /// Applied to the compiled plan right before execution (after any
-  /// posting-size rewrite) — the hook deployments use to reshape queries
-  /// without a new strategy enum (e.g. HybridConfig::plan_rewrite grafts
-  /// TopK or tighter limits onto reissued queries).
-  std::function<void(pier::QueryPlan*)> plan_rewrite;
 };
 
 /// Compiles `terms` into the strategy's query plan. Exposed for tests,
@@ -87,17 +82,6 @@ class SearchEngine {
   /// escape hatch for plan shapes the strategy enum cannot express.
   void RunPlan(pier::QueryPlan plan, const SearchOptions& options,
                SearchCallback callback);
-
-  /// Resolves fileIDs to full Item hits — the plans' final join. The ids
-  /// are de-duplicated (duplicate join keys must not evict distinct
-  /// results when truncating to max_results), capped, and fetched with one
-  /// owner-coalesced FetchMany: K distinct Item owners cost K routed get
-  /// messages instead of one round-trip per id. The fetch leg is bounded
-  /// by `options.timeout` — a dead Item owner resolves the query with
-  /// whatever hits arrived, labeled partial, instead of hanging it past
-  /// its deadline.
-  void FetchItems(std::vector<uint64_t> file_ids,
-                  const SearchOptions& options, SearchCallback callback);
 
  private:
   pier::PierNode* pier_;

@@ -177,40 +177,5 @@ TEST(HybridUltrapeerTest, StatsCountQueries) {
   EXPECT_EQ(w.hybrids[2]->stats().dht_answered, 0u);
 }
 
-TEST(HybridUltrapeerTest, PlanRewriteHookShapesReissuedQueries) {
-  // The deployment hook: every DHT fallback's compiled plan passes through
-  // HybridConfig::plan_rewrite before execution. Here it caps the reissue
-  // to a single answer; two rare matching files exist, one hit comes back.
-  HybridConfig hc;
-  size_t rewrites = 0;
-  hc.plan_rewrite = [&rewrites](pier::QueryPlan* plan) {
-    ++rewrites;
-    pier::PlanNode limit;
-    limit.kind = pier::PlanNode::Kind::kLimit;
-    limit.n = 1;
-    limit.children.push_back(plan->root);
-    plan->nodes.push_back(std::move(limit));
-    plan->root = static_cast<uint32_t>(plan->nodes.size() - 1);
-  };
-  World w(hc);
-  w.gnutella->ultrapeer(19)->SetSharedFiles(
-      {"twin bootleg unicorn alpha.mp3", "twin bootleg unicorn beta.mp3"});
-  size_t published = w.hybrids[19]->PublishLocalFiles(
-      [](const gnutella::KeywordIndex::Entry&) { return true; });
-  EXPECT_EQ(published, 2u);
-  w.simulator.Run();
-
-  std::vector<HybridHit> hits;
-  bool done = false;
-  w.hybrids[0]->Query("bootleg unicorn",
-                      [&](const HybridHit& h) { hits.push_back(h); },
-                      [&]() { done = true; });
-  w.simulator.Run();
-  ASSERT_TRUE(done);
-  EXPECT_EQ(rewrites, 1u);
-  EXPECT_EQ(hits.size(), 1u);  // hook-capped; two matches exist in the DHT
-  EXPECT_TRUE(hits[0].via_dht);
-}
-
 }  // namespace
 }  // namespace pierstack::hybrid

@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 
 #include "pier/ops.h"
+#include "pier/plan_exec.h"
 
 namespace pierstack::pier {
 namespace {
@@ -15,12 +15,10 @@ std::vector<Tuple> Rows(
   return out;
 }
 
-std::vector<Tuple> RunGroupBy(std::vector<Tuple> input,
-                              std::vector<size_t> group_cols,
-                              std::vector<AggregateSpec> aggs) {
-  GroupByAggregate op(std::make_unique<VectorScan>(std::move(input)),
-                      std::move(group_cols), std::move(aggs));
-  auto got = Collect(&op);
+std::vector<Tuple> RunGroupBy(const std::vector<Tuple>& input,
+                              const std::vector<uint32_t>& group_cols,
+                              const std::vector<AggregateSpec>& aggs) {
+  auto got = GroupAggregate(input, group_cols, aggs);
   std::sort(got.begin(), got.end(), [](const Tuple& a, const Tuple& b) {
     return a.at(0).ToString() < b.at(0).ToString();
   });
@@ -61,10 +59,9 @@ TEST(GroupByTest, EmptyInputNoGroups) {
 }
 
 TEST(GroupByTest, GlobalAggregateWithNoGroupCols) {
-  GroupByAggregate op(
-      std::make_unique<VectorScan>(Rows({{1, 5}, {2, 6}, {3, 7}})), {},
-      {{AggregateSpec::kCount, 0}, {AggregateSpec::kSum, 1}});
-  auto got = Collect(&op);
+  auto got = GroupAggregate(Rows({{1, 5}, {2, 6}, {3, 7}}), {},
+                            {{AggregateSpec::kCount, 0},
+                             {AggregateSpec::kSum, 1}});
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].at(0).AsUint64(), 3u);
   EXPECT_DOUBLE_EQ(got[0].at(1).AsDouble(), 18.0);
@@ -75,7 +72,7 @@ TEST(GroupByTest, StringGroupKeys) {
   for (const char* artist : {"abba", "abba", "beatles"}) {
     input.push_back(Tuple({Value(std::string(artist)), Value(uint64_t{1})}));
   }
-  auto got = RunGroupBy(std::move(input), {0}, {{AggregateSpec::kCount, 0}});
+  auto got = RunGroupBy(input, {0}, {{AggregateSpec::kCount, 0}});
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].at(0).AsString(), "abba");
   EXPECT_EQ(got[0].at(1).AsUint64(), 2u);
@@ -87,31 +84,35 @@ TEST(GroupByTest, MultiColumnKeys) {
       Tuple({Value(uint64_t{1}), Value(uint64_t{2}), Value(uint64_t{200})}),
       Tuple({Value(uint64_t{1}), Value(uint64_t{1}), Value(uint64_t{300})}),
   };
-  GroupByAggregate op(std::make_unique<VectorScan>(std::move(input)), {0, 1},
-                      {{AggregateSpec::kSum, 2}});
-  auto got = Collect(&op);
+  auto got = GroupAggregate(input, {0, 1}, {{AggregateSpec::kSum, 2}});
   EXPECT_EQ(got.size(), 2u);
 }
 
-TEST(GroupByTest, ComposesWithSelectionAndLimit) {
+TEST(GroupByTest, ComposesWithFilterAndLimit) {
   // COUNT(*) of values > 15, grouped by key, limit 1 group.
-  auto scan = std::make_unique<VectorScan>(
-      Rows({{1, 10}, {1, 20}, {2, 30}, {2, 5}}));
-  auto sel = std::make_unique<Selection>(
-      std::move(scan),
-      [](const Tuple& t) { return t.at(1).AsUint64() > 15; });
-  auto agg = std::make_unique<GroupByAggregate>(
-      std::move(sel), std::vector<size_t>{0},
-      std::vector<AggregateSpec>{{AggregateSpec::kCount, 0}});
-  Limit lim(std::move(agg), 1);
-  EXPECT_EQ(Collect(&lim).size(), 1u);
+  PlanNode filter;
+  filter.kind = PlanNode::Kind::kFilter;
+  filter.expr =
+      Expr::Gt(Expr::Column(1), Expr::Literal(Value(uint64_t{15})));
+  PlanNode agg;
+  agg.kind = PlanNode::Kind::kGroupAggregate;
+  agg.cols = {0};
+  agg.aggs = {{AggregateSpec::kCount, 0}};
+  PlanNode limit;
+  limit.kind = PlanNode::Kind::kLimit;
+  limit.n = 1;
+  auto got = ApplyFinishers(Rows({{1, 10}, {1, 20}, {2, 30}, {2, 5}}),
+                            {filter, agg, limit});
+  EXPECT_EQ(got.size(), 1u);
 }
 
-TEST(GroupByTest, ReopenRecomputes) {
-  GroupByAggregate op(std::make_unique<VectorScan>(Rows({{1, 1}, {1, 2}})),
-                      {0}, {{AggregateSpec::kCount, 0}});
-  EXPECT_EQ(Collect(&op).size(), 1u);
-  EXPECT_EQ(Collect(&op).size(), 1u);  // Collect reopens
+TEST(GroupByTest, GroupsComeOutInFirstSeenOrder) {
+  auto got = GroupAggregate(Rows({{3, 1}, {1, 1}, {3, 1}, {2, 1}}), {0},
+                            {{AggregateSpec::kCount, 0}});
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0], Tuple({Value(uint64_t{3}), Value(uint64_t{2})}));
+  EXPECT_EQ(got[1], Tuple({Value(uint64_t{1}), Value(uint64_t{1})}));
+  EXPECT_EQ(got[2], Tuple({Value(uint64_t{2}), Value(uint64_t{1})}));
 }
 
 }  // namespace

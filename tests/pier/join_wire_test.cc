@@ -1,6 +1,5 @@
-// Join-stage wire format: entry lists travel as exact TupleBatch images,
-// and large intermediate lists stream stage-to-stage in chunks with
-// weight-throwing completion at the query node.
+// Join-stage transport: large intermediate row lists stream stage-to-stage
+// in chunks with weight-throwing completion at the query node.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,7 +8,6 @@
 #include "dht/builder.h"
 #include "pier/node.h"
 #include "pier/plan.h"
-#include "pier/tuple_batch.h"
 
 namespace pierstack::pier {
 namespace {
@@ -19,68 +17,6 @@ const Schema& InvSchema() {
       "inverted",
       {{"keyword", ValueType::kString}, {"fileID", ValueType::kUint64}}, 0);
   return *s;
-}
-
-std::vector<JoinResultEntry> SampleEntries() {
-  std::vector<JoinResultEntry> entries;
-  for (uint64_t i = 0; i < 5; ++i) {
-    JoinResultEntry e;
-    e.join_key = Value(i);
-    e.payload = Tuple({Value(i), Value("payload file " + std::to_string(i) +
-                                       ".mp3")});
-    entries.push_back(std::move(e));
-  }
-  JoinResultEntry bare;  // key-only entry (no payload), the chain default
-  bare.join_key = Value(std::string("stringkey"));
-  entries.push_back(std::move(bare));
-  return entries;
-}
-
-TEST(JoinWireTest, EncodeDecodeRoundTrips) {
-  auto entries = SampleEntries();
-  std::vector<uint8_t> image = EncodeJoinEntries(entries);
-  size_t dropped = 0;
-  auto back = DecodeJoinEntries(image, &dropped);
-  EXPECT_EQ(dropped, 0u);
-  ASSERT_EQ(back.size(), entries.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ(back[i].join_key, entries[i].join_key) << i;
-    EXPECT_EQ(back[i].payload, entries[i].payload) << i;
-  }
-}
-
-TEST(JoinWireTest, ImageSizeIsExactTupleBatchWireSize) {
-  auto entries = SampleEntries();
-  // The image must be byte-identical in size to a TupleBatch of
-  // [join_key, payload...] rows — the charged bytes are the encoded bytes.
-  TupleBatch reference;
-  for (const auto& e : entries) {
-    std::vector<Value> row;
-    row.push_back(e.join_key);
-    for (const Value& v : e.payload) row.push_back(v);
-    reference.Add(Tuple(std::move(row)));
-  }
-  std::vector<uint8_t> image = EncodeJoinEntries(entries);
-  EXPECT_EQ(image.size(), reference.WireSize());
-  EXPECT_EQ(image, reference.Serialize());
-}
-
-TEST(JoinWireTest, EmptyListEncodesAsEmptyBatch) {
-  std::vector<uint8_t> image = EncodeJoinEntries({});
-  EXPECT_EQ(image, std::vector<uint8_t>{0});
-  size_t dropped = 0;
-  EXPECT_TRUE(DecodeJoinEntries(image, &dropped).empty());
-  EXPECT_EQ(dropped, 0u);
-}
-
-TEST(JoinWireTest, CorruptTailCountsDropped) {
-  auto entries = SampleEntries();
-  std::vector<uint8_t> image = EncodeJoinEntries(entries);
-  image.resize(image.size() / 2);  // truncate mid-frame
-  size_t dropped = 0;
-  auto back = DecodeJoinEntries(image, &dropped);
-  EXPECT_LT(back.size(), entries.size());
-  EXPECT_EQ(back.size() + dropped, entries.size());
 }
 
 struct Cluster {

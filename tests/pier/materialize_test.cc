@@ -59,16 +59,5 @@ TEST(MaterializeTest, NonStringValuesPassThrough) {
   EXPECT_EQ(Tuple().Materialize().arity(), 0u);
 }
 
-TEST(MaterializeTest, SubTupleSharesThenMaterializeDetaches) {
-  TupleBatch batch = DecodedPostingBatch(8);
-  Tuple payload = batch[3].SubTuple(1);
-  ASSERT_EQ(payload.arity(), 2u);
-  EXPECT_EQ(payload.at(0).AsUint64(), 3u);
-  EXPECT_EQ(payload.payload(), batch[3].payload());  // shares the arena
-  Tuple detached = payload.Materialize();
-  EXPECT_EQ(detached, payload);
-  EXPECT_NE(detached.payload(), payload.payload());
-}
-
 }  // namespace
 }  // namespace pierstack::pier

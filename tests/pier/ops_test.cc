@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/rng.h"
+#include "pier/plan_exec.h"
 
 namespace pierstack::pier {
 namespace {
@@ -20,46 +21,61 @@ std::vector<Tuple> MakeRows(std::initializer_list<std::pair<uint64_t, uint64_t>>
   return out;
 }
 
-TEST(OpsTest, VectorScanYieldsAll) {
-  VectorScan scan(MakeRows({{1, 2}, {3, 4}}));
-  auto got = Collect(&scan);
+PlanNode Finisher(PlanNode::Kind kind) {
+  PlanNode n;
+  n.kind = kind;
+  return n;
+}
+
+PlanNode FilterNode(Expr predicate) {
+  PlanNode n = Finisher(PlanNode::Kind::kFilter);
+  n.expr = std::move(predicate);
+  return n;
+}
+
+PlanNode ProjectNode(std::vector<uint32_t> cols) {
+  PlanNode n = Finisher(PlanNode::Kind::kProject);
+  n.cols = std::move(cols);
+  return n;
+}
+
+PlanNode LimitNode(uint64_t limit) {
+  PlanNode n = Finisher(PlanNode::Kind::kLimit);
+  n.n = limit;
+  return n;
+}
+
+TEST(OpsTest, FilterKeepsMatchingRowsInOrder) {
+  auto got = ApplyFinishers(
+      MakeRows({{1, 2}, {3, 4}, {5, 6}}),
+      {FilterNode(Expr::Ge(Expr::Column(0),
+                           Expr::Literal(Value(uint64_t{3}))))});
   ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0], T2(1, 2));
+  EXPECT_EQ(got[0], T2(3, 4));
+  EXPECT_EQ(got[1], T2(5, 6));
 }
 
-TEST(OpsTest, SelectionFilters) {
-  Selection sel(std::make_unique<VectorScan>(MakeRows({{1, 2}, {3, 4}, {5, 6}})),
-                [](const Tuple& t) { return t.at(0).AsUint64() >= 3; });
-  auto got = Collect(&sel);
-  EXPECT_EQ(got.size(), 2u);
-}
-
-TEST(OpsTest, ProjectionReordersColumns) {
-  Projection proj(std::make_unique<VectorScan>(MakeRows({{1, 2}})),
-                  {1, 0, 1});
-  auto got = Collect(&proj);
+TEST(OpsTest, ProjectReordersColumns) {
+  auto got = ApplyFinishers(MakeRows({{1, 2}}), {ProjectNode({1, 0, 1})});
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], Tuple({Value(uint64_t{2}), Value(uint64_t{1}),
                            Value(uint64_t{2})}));
 }
 
 TEST(OpsTest, LimitStopsEarly) {
-  Limit lim(std::make_unique<VectorScan>(MakeRows({{1, 1}, {2, 2}, {3, 3}})),
-            2);
-  EXPECT_EQ(Collect(&lim).size(), 2u);
+  EXPECT_EQ(
+      ApplyFinishers(MakeRows({{1, 1}, {2, 2}, {3, 3}}), {LimitNode(2)}).size(),
+      2u);
 }
 
 TEST(OpsTest, LimitZero) {
-  Limit lim(std::make_unique<VectorScan>(MakeRows({{1, 1}})), 0);
-  EXPECT_TRUE(Collect(&lim).empty());
+  EXPECT_TRUE(ApplyFinishers(MakeRows({{1, 1}}), {LimitNode(0)}).empty());
 }
 
 TEST(OpsTest, HashJoinBasic) {
   // R(a,b) join S(c,d) on b = c.
-  auto left = std::make_unique<VectorScan>(MakeRows({{1, 10}, {2, 20}, {3, 10}}));
-  auto right = std::make_unique<VectorScan>(MakeRows({{10, 100}, {30, 300}}));
-  HashJoin join(std::move(left), std::move(right), 1, 0);
-  auto got = Collect(&join);
+  auto got = HashJoin(MakeRows({{1, 10}, {2, 20}, {3, 10}}),
+                      MakeRows({{10, 100}, {30, 300}}), 1, 0);
   ASSERT_EQ(got.size(), 2u);
   for (const auto& t : got) {
     EXPECT_EQ(t.arity(), 4u);
@@ -68,16 +84,18 @@ TEST(OpsTest, HashJoinBasic) {
 }
 
 TEST(OpsTest, HashJoinEmptyInputs) {
-  HashJoin join(std::make_unique<VectorScan>(std::vector<Tuple>{}),
-                std::make_unique<VectorScan>(MakeRows({{1, 1}})), 0, 0);
-  EXPECT_TRUE(Collect(&join).empty());
+  EXPECT_TRUE(HashJoin({}, MakeRows({{1, 1}}), 0, 0).empty());
 }
 
 TEST(OpsTest, HashJoinDuplicatesMultiply) {
-  auto left = std::make_unique<VectorScan>(MakeRows({{1, 5}, {2, 5}}));
-  auto right = std::make_unique<VectorScan>(MakeRows({{5, 7}, {5, 8}}));
-  HashJoin join(std::move(left), std::move(right), 1, 0);
-  EXPECT_EQ(Collect(&join).size(), 4u);  // 2 x 2 cross on key 5
+  // 2 x 2 cross on key 5, each left row's matches last-built first.
+  auto got = HashJoin(MakeRows({{1, 5}, {2, 5}}), MakeRows({{5, 7}, {5, 8}}),
+                      1, 0);
+  ASSERT_EQ(got.size(), 4u);
+  EXPECT_EQ(got[0], Tuple::Concat(T2(1, 5), T2(5, 8)));
+  EXPECT_EQ(got[1], Tuple::Concat(T2(1, 5), T2(5, 7)));
+  EXPECT_EQ(got[2], Tuple::Concat(T2(2, 5), T2(5, 8)));
+  EXPECT_EQ(got[3], Tuple::Concat(T2(2, 5), T2(5, 7)));
 }
 
 TEST(ShjTest, ProducesJoinsIncrementally) {
@@ -174,9 +192,7 @@ TEST_P(ShjEquivalence, MatchesHashJoinOnRandomData) {
     right.push_back(T2(rng.NextBelow(10), rng.NextBelow(30)));
   }
   // Reference: blocking hash join on left.1 == right.0.
-  HashJoin ref(std::make_unique<VectorScan>(left),
-               std::make_unique<VectorScan>(right), 1, 0);
-  auto expected = Collect(&ref);
+  auto expected = HashJoin(left, right, 1, 0);
 
   // Streaming: interleave inserts in a random order.
   SymmetricHashJoin shj(1, 0);
@@ -202,19 +218,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ShjEquivalence,
 
 TEST(OpsTest, ComposedPipeline) {
   // SELECT b FROM R JOIN S ON R.b = S.c WHERE S.d > 150 LIMIT 2
-  auto left = std::make_unique<VectorScan>(
-      MakeRows({{1, 10}, {2, 20}, {3, 30}, {4, 10}}));
-  auto right = std::make_unique<VectorScan>(
-      MakeRows({{10, 100}, {20, 200}, {30, 300}}));
-  auto join = std::make_unique<HashJoin>(std::move(left), std::move(right),
-                                         1, 0);
-  auto sel = std::make_unique<Selection>(
+  auto join = HashJoin(MakeRows({{1, 10}, {2, 20}, {3, 30}, {4, 10}}),
+                       MakeRows({{10, 100}, {20, 200}, {30, 300}}), 1, 0);
+  auto got = ApplyFinishers(
       std::move(join),
-      [](const Tuple& t) { return t.at(3).AsUint64() > 150; });
-  auto proj = std::make_unique<Projection>(std::move(sel),
-                                           std::vector<size_t>{1});
-  Limit lim(std::move(proj), 2);
-  auto got = Collect(&lim);
+      {FilterNode(Expr::Gt(Expr::Column(3),
+                           Expr::Literal(Value(uint64_t{150})))),
+       ProjectNode({1}), LimitNode(2)});
   EXPECT_EQ(got.size(), 2u);
   for (const auto& t : got) EXPECT_EQ(t.arity(), 1u);
 }

@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "dht/builder.h"
@@ -40,6 +41,17 @@ const Schema& ItemSchema() {
   return *s;
 }
 
+const Schema& ScoresSchema() {
+  static const Schema* s = new Schema("scores",
+                                      {{"keyword", ValueType::kString},
+                                       {"id", ValueType::kUint64},
+                                       {"score", ValueType::kUint64},
+                                       {"grp", ValueType::kInt64},
+                                       {"tag", ValueType::kString}},
+                                      0);
+  return *s;
+}
+
 struct Cluster {
   sim::SerialExecutor simulator;
   std::unique_ptr<sim::Network> network;
@@ -47,7 +59,7 @@ struct Cluster {
   PierMetrics metrics;
   std::vector<std::unique_ptr<PierNode>> piers;
 
-  explicit Cluster(size_t n) {
+  explicit Cluster(size_t n, BatchOptions batch = BatchOptions{}) {
     network = std::make_unique<sim::Network>(
         &simulator,
         std::make_unique<sim::ConstantLatency>(5 * sim::kMillisecond), 31);
@@ -59,7 +71,14 @@ struct Cluster {
     dht = std::make_unique<dht::DhtDeployment>(network.get(), n, dopts, 777);
     for (size_t i = 0; i < n; ++i) {
       piers.push_back(std::make_unique<PierNode>(dht->node(i), &metrics));
+      piers.back()->set_batch_options(batch);
     }
+  }
+
+  void Publish(const Schema& schema, std::vector<Tuple> tuples) {
+    piers[0]->PublishBatch(schema, std::move(tuples));
+    piers[0]->FlushPublishQueues();
+    simulator.Run();
   }
 
   std::vector<Tuple> RunPlan(QueryPlan plan, Status* status = nullptr) {
@@ -281,6 +300,134 @@ TEST(PlanExecTest, PlanSurvivesWireRoundTripBeforeExecution) {
   }
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.size(), 60u);  // the odd "studio" half of 120
+}
+
+TEST(PlanExecTest, FetchPlanCapsDistinctJoinKeys) {
+  // Duplicate join keys must not use up a FetchJoin plan's answer cap:
+  // both caps (last stage, query-node accumulator) count distinct keys.
+  auto item = [](uint64_t id) {
+    return Tuple({Value(id), Value("file " + std::to_string(id)),
+                  Value(uint64_t{1000 + id})});
+  };
+  auto fetched_ids = [](const std::vector<Tuple>& rows) {
+    std::set<uint64_t> ids;
+    for (const Tuple& t : rows) ids.insert(t.at(0).AsUint64());
+    return ids;
+  };
+
+  // Single stage: fileIDs 1, 1, 1, 2 under one key.
+  Cluster single(16);
+  std::vector<Tuple> cache;
+  for (uint64_t id : {1, 1, 1, 2}) {
+    cache.push_back(Tuple({Value("dup"), Value(id),
+                           Value("take " + std::to_string(cache.size()))}));
+  }
+  single.Publish(CacheSchema(), std::move(cache));
+  single.Publish(ItemSchema(), {item(1), item(2)});
+  QueryPlan one = PlanBuilder()
+                      .IndexScan("inverted_cache", Value("dup"))
+                      .FetchJoin("item")
+                      .Limit(2)
+                      .Build();
+  EXPECT_EQ(fetched_ids(single.RunPlan(std::move(one))),
+            (std::set<uint64_t>{1, 2}));
+
+  // Two stages, two rows per chunk: stage 0's fileIDs 1, 1, 1, 1, 2, 2
+  // reach the last stage as three chunks, so the query node accumulates
+  // three replies, each holding one key.
+  BatchOptions small;
+  small.max_stage_entries = 2;
+  Cluster chained(16, small);
+  cache.clear();
+  for (uint64_t id : {1, 1, 1, 1, 2, 2}) {
+    cache.push_back(Tuple({Value("dup"), Value(id),
+                           Value("take " + std::to_string(cache.size()))}));
+  }
+  chained.Publish(CacheSchema(), std::move(cache));
+  chained.Publish(InvSchema(), {Tuple({Value("other"), Value(uint64_t{1})}),
+                                Tuple({Value("other"), Value(uint64_t{2})})});
+  chained.Publish(ItemSchema(), {item(1), item(2)});
+  QueryPlan two = PlanBuilder()
+                      .IndexScan("inverted_cache", Value("dup"))
+                      .RehashJoin("inverted", Value("other"))
+                      .FetchJoin("item")
+                      .Limit(2)
+                      .Build();
+  EXPECT_EQ(fetched_ids(chained.RunPlan(std::move(two))),
+            (std::set<uint64_t>{1, 2}));
+  EXPECT_EQ(chained.metrics.posting_entries_shipped, 6u);
+}
+
+TEST(PlanExecTest, FinisherRowsAreExact) {
+  // The exact rows, order included, of the finisher shapes: ties through
+  // TopK both ways, a two-column GroupAggregate with every aggregate, a
+  // Project past the row's arity, a Filter across value types, and a
+  // Limit below a TopK. Rows reach the finishers as [id, score, grp, tag].
+  Cluster c(16);
+  std::vector<Tuple> scores;
+  for (uint64_t id = 0; id < 12; ++id) {
+    scores.push_back(Tuple({Value("k"), Value(id), Value(id % 4),
+                            Value(static_cast<int64_t>(id % 3) - 1),
+                            Value(id % 2 == 0 ? "even" : "odd")}));
+  }
+  c.Publish(ScoresSchema(), std::move(scores));
+  auto rows_of = [&c](PlanBuilder& b) {
+    std::vector<std::string> out;
+    for (const Tuple& t : c.RunPlan(b.Build())) out.push_back(t.ToString());
+    return out;
+  };
+  auto scan = [](std::vector<uint32_t> payload) {
+    PlanBuilder b;
+    b.IndexScan("scores", Value("k")).Project(std::move(payload));
+    return b;
+  };
+
+  using Rows = std::vector<std::string>;
+
+  PlanBuilder top_desc = scan({2, 3, 4});
+  top_desc.TopK(1, 5, /*descending=*/true);
+  EXPECT_EQ(rows_of(top_desc), (Rows{"(11, 3, 1, odd)", "(3, 3, -1, odd)",
+                                     "(7, 3, 0, odd)", "(10, 2, 0, even)",
+                                     "(6, 2, -1, even)"}));
+
+  PlanBuilder top_asc = scan({2, 3, 4});
+  top_asc.TopK(1, 5, /*descending=*/false);
+  EXPECT_EQ(rows_of(top_asc), (Rows{"(8, 0, 1, even)", "(4, 0, 0, even)",
+                                    "(0, 0, -1, even)", "(5, 1, 1, odd)",
+                                    "(1, 1, 0, odd)"}));
+
+  PlanBuilder groups = scan({2, 3, 4});
+  groups.GroupAggregate({2, 3}, {AggregateSpec{AggregateSpec::kCount, 0},
+                                 AggregateSpec{AggregateSpec::kSum, 1},
+                                 AggregateSpec{AggregateSpec::kMin, 2},
+                                 AggregateSpec{AggregateSpec::kMax, 0},
+                                 AggregateSpec{AggregateSpec::kAvg, 1}});
+  EXPECT_EQ(rows_of(groups),
+            (Rows{"(-1, even, 2, 2.000000, -1.000000, 6.000000, 1.000000)",
+                  "(0, odd, 2, 4.000000, 0.000000, 7.000000, 2.000000)",
+                  "(1, even, 2, 2.000000, 1.000000, 8.000000, 1.000000)",
+                  "(-1, odd, 2, 4.000000, -1.000000, 9.000000, 2.000000)",
+                  "(0, even, 2, 2.000000, 0.000000, 10.000000, 1.000000)",
+                  "(1, odd, 2, 4.000000, 1.000000, 11.000000, 2.000000)"}));
+
+  PlanBuilder wide = scan({2, 3});
+  wide.Limit(4).Project({0, 2, 6});
+  EXPECT_EQ(rows_of(wide),
+            (Rows{"(0, -1, 0)", "(1, 0, 0)", "(2, 1, 0)", "(3, -1, 0)"}));
+
+  PlanBuilder mixed = scan({2, 3, 4});
+  mixed.Limit(100).Filter(Expr::And(
+      {Expr::Lt(Expr::Column(1), Expr::Literal(Value(2.5))),
+       Expr::Ne(Expr::Column(3), Expr::Literal(Value(uint64_t{0}))),
+       Expr::Ge(Expr::Column(2), Expr::Literal(Value(uint64_t{0})))}));
+  EXPECT_EQ(rows_of(mixed), (Rows{"(1, 1, 0, odd)", "(2, 2, 1, even)",
+                                  "(4, 0, 0, even)", "(5, 1, 1, odd)",
+                                  "(8, 0, 1, even)", "(10, 2, 0, even)"}));
+
+  PlanBuilder cut = scan({2, 3, 4});
+  cut.Limit(7).TopK(1, 3);
+  EXPECT_EQ(rows_of(cut), (Rows{"(3, 3, -1, odd)", "(6, 2, -1, even)",
+                                "(2, 2, 1, even)"}));
 }
 
 }  // namespace

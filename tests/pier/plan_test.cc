@@ -12,98 +12,10 @@
 #include "common/rng.h"
 #include "pier/plan.h"
 #include "pier/plan_exec.h"
+#include "random_plan.h"
 
 namespace pierstack::pier {
 namespace {
-
-Value RandomValue(Rng* rng) {
-  switch (rng->NextBelow(4)) {
-    case 0:
-      return Value(rng->Next());
-    case 1:
-      return Value(static_cast<int64_t>(rng->Next()) >> 3);
-    case 2:
-      return Value(rng->NextDouble() * 1e6);
-    default: {
-      std::string s;
-      size_t len = rng->NextBelow(12);
-      for (size_t i = 0; i < len; ++i) {
-        s.push_back(static_cast<char>('a' + rng->NextBelow(26)));
-      }
-      return Value(std::move(s));
-    }
-  }
-}
-
-Expr RandomExpr(Rng* rng, int depth) {
-  if (depth <= 0 || rng->NextBelow(3) == 0) {
-    switch (rng->NextBelow(3)) {
-      case 0:
-        return Expr::Column(rng->NextBelow(6));
-      case 1:
-        return Expr::Literal(RandomValue(rng));
-      default:
-        return Expr::True();
-    }
-  }
-  switch (rng->NextBelow(6)) {
-    case 0:
-      return Expr::Compare(
-          static_cast<Expr::Kind>(
-              static_cast<int>(Expr::Kind::kEq) + rng->NextBelow(6)),
-          RandomExpr(rng, depth - 1), RandomExpr(rng, depth - 1));
-    case 1: {
-      std::vector<Expr> kids;
-      size_t n = 2 + rng->NextBelow(3);
-      for (size_t i = 0; i < n; ++i) {
-        kids.push_back(RandomExpr(rng, depth - 1));
-      }
-      return Expr::And(std::move(kids));
-    }
-    case 2: {
-      std::vector<Expr> kids;
-      size_t n = 2 + rng->NextBelow(3);
-      for (size_t i = 0; i < n; ++i) {
-        kids.push_back(RandomExpr(rng, depth - 1));
-      }
-      return Expr::Or(std::move(kids));
-    }
-    case 3:
-      return Expr::Not(RandomExpr(rng, depth - 1));
-    default:
-      return Expr::Contains(RandomExpr(rng, depth - 1),
-                            "needle" + std::to_string(rng->NextBelow(100)));
-  }
-}
-
-QueryPlan RandomPlan(Rng* rng) {
-  PlanBuilder b;
-  b.IndexScan("ns" + std::to_string(rng->NextBelow(4)), RandomValue(rng),
-              rng->NextBelow(3), rng->NextBelow(3));
-  if (rng->NextBernoulli(0.5)) b.Filter(RandomExpr(rng, 3));
-  if (rng->NextBernoulli(0.4)) {
-    b.Project({static_cast<uint32_t>(rng->NextBelow(4)),
-               static_cast<uint32_t>(rng->NextBelow(4))});
-  }
-  size_t joins = rng->NextBelow(3);
-  for (size_t i = 0; i < joins; ++i) {
-    b.RehashJoin("inv", RandomValue(rng), 0, 1 + rng->NextBelow(2));
-  }
-  if (rng->NextBernoulli(0.3)) {
-    b.GroupAggregate(
-        {0}, {AggregateSpec{AggregateSpec::kCount, 0},
-              AggregateSpec{static_cast<AggregateSpec::Kind>(
-                                rng->NextBelow(5)),
-                            rng->NextBelow(3)}});
-  }
-  if (rng->NextBernoulli(0.4)) b.FetchJoin("item", rng->NextBelow(2));
-  if (rng->NextBernoulli(0.5)) {
-    b.TopK(rng->NextBelow(4), 1 + rng->NextBelow(20),
-           rng->NextBernoulli(0.5));
-  }
-  if (rng->NextBernoulli(0.7)) b.Limit(1 + rng->NextBelow(500));
-  return b.Build();
-}
 
 TEST(PlanWireTest, RandomizedPlansRoundTripStructurally) {
   Rng rng(20260729);
@@ -185,7 +97,7 @@ TEST(PlanCompileTest, SearchShapesCompile) {
   EXPECT_TRUE(cdj.value().fetch);
   EXPECT_EQ(cdj.value().fetch_ns, "item");
   EXPECT_EQ(cdj.value().limit, 100u);
-  EXPECT_TRUE(cdj.value().staged.cap_results);
+  EXPECT_EQ(cdj.value().staged.cap, StagedQuery::Cap::kJoinKeys);
 
   // The inverted-cache shape: filter + projection push down to the site.
   QueryPlan ic = PlanBuilder()
@@ -201,6 +113,7 @@ TEST(PlanCompileTest, SearchShapesCompile) {
   EXPECT_FALSE(stage.filter.is_true());
   EXPECT_EQ(stage.payload_cols, (std::vector<size_t>{1, 2}));
   EXPECT_TRUE(cic.value().entry_ops.empty());
+  EXPECT_EQ(cic.value().staged.cap, StagedQuery::Cap::kRows);
 
   // A TopK above the fetch keeps the full surviving set flowing.
   QueryPlan topk = PlanBuilder()
@@ -211,7 +124,7 @@ TEST(PlanCompileTest, SearchShapesCompile) {
                        .Build();
   auto ctopk = CompilePlan(topk);
   ASSERT_TRUE(ctopk.ok()) << ctopk.status().ToString();
-  EXPECT_FALSE(ctopk.value().staged.cap_results);
+  EXPECT_EQ(ctopk.value().staged.cap, StagedQuery::Cap::kNone);
   EXPECT_EQ(ctopk.value().tuple_ops.size(), 1u);
 
   // Unsupported shape: a blocking operator feeding a distributed join.
@@ -290,26 +203,57 @@ TEST(PlanCompileTest, InnerLimitStaysPositional) {
   auto compiled = CompilePlan(plan);
   ASSERT_TRUE(compiled.ok());
   ASSERT_EQ(compiled.value().entry_ops.size(), 2u);
-  EXPECT_EQ(compiled.value().entry_ops[0].kind, LocalOpSpec::Kind::kLimit);
-  EXPECT_EQ(compiled.value().entry_ops[1].kind, LocalOpSpec::Kind::kTopK);
+  EXPECT_EQ(compiled.value().entry_ops[0].kind, PlanNode::Kind::kLimit);
+  EXPECT_EQ(compiled.value().entry_ops[1].kind, PlanNode::Kind::kTopK);
   EXPECT_EQ(compiled.value().limit, SIZE_MAX);
-  EXPECT_FALSE(compiled.value().staged.cap_results);
-  // Semantics through the operators: top-2 of the FIRST 3 rows.
+  EXPECT_EQ(compiled.value().staged.cap, StagedQuery::Cap::kNone);
+  // Semantics through the compiled finishers: top-2 of the FIRST 3 rows.
+  QueryPlan plan2 = PlanBuilder()
+                        .IndexScan("inv", Value("a"))
+                        .Limit(3)
+                        .TopK(0, 2)
+                        .Build();
+  auto compiled2 = CompilePlan(plan2);
+  ASSERT_TRUE(compiled2.ok());
   std::vector<Tuple> rows;
   for (uint64_t v : {5, 1, 4, 9, 8}) {
     rows.push_back(Tuple({Value(v)}));
   }
-  LocalOpSpec limit3;
-  limit3.kind = LocalOpSpec::Kind::kLimit;
-  limit3.n = 3;
-  LocalOpSpec top2;
-  top2.kind = LocalOpSpec::Kind::kTopK;
-  top2.sort_col = 0;
-  top2.n = 2;
-  std::vector<Tuple> out = ApplyLocalOps(rows, {limit3, top2});
+  std::vector<Tuple> out =
+      ApplyFinishers(std::move(rows), compiled2.value().entry_ops);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].at(0).AsUint64(), 5u);
   EXPECT_EQ(out[1].at(0).AsUint64(), 4u);
+}
+
+TEST(PlanCompileTest, RejectsChildIndicesThatDoNotPrecedeTheirParent) {
+  // Hand-built pools that break PlanBuilder's invariant must fail to
+  // compile, not walk out of range or loop forever.
+  auto scan_then = [](PlanNode::Kind kind, std::vector<uint32_t> children) {
+    QueryPlan plan = PlanBuilder().IndexScan("inv", Value("a")).Build();
+    PlanNode n;
+    n.kind = kind;
+    n.n = 3;
+    n.children = std::move(children);
+    plan.nodes.push_back(std::move(n));
+    plan.root = 1;
+    return plan;
+  };
+  QueryPlan out_of_range = scan_then(PlanNode::Kind::kLimit, {7});
+  QueryPlan self_loop = scan_then(PlanNode::Kind::kFilter, {1});
+  // Node 1 points forward at node 2, which points back at the scan.
+  QueryPlan forward = scan_then(PlanNode::Kind::kFilter, {2});
+  PlanNode limit;
+  limit.kind = PlanNode::Kind::kLimit;
+  limit.n = 3;
+  limit.children = {0};
+  forward.nodes.push_back(std::move(limit));
+  for (const QueryPlan* plan : {&out_of_range, &self_loop, &forward}) {
+    EXPECT_FALSE(plan->ChildrenPrecedeParents());
+    auto compiled = CompilePlan(*plan);
+    ASSERT_FALSE(compiled.ok());
+    EXPECT_EQ(compiled.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(PlanRewriteTest, HeterogeneousChainIsNotPermuted) {

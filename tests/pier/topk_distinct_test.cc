@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 
 #include "common/rng.h"
 #include "pier/ops.h"
@@ -16,9 +15,7 @@ std::vector<Tuple> Rows(std::initializer_list<uint64_t> keys) {
 }
 
 TEST(TopKTest, DescendingTakesLargest) {
-  TopK top(std::make_unique<VectorScan>(Rows({5, 1, 9, 3, 7})), 0, 3,
-           /*descending=*/true);
-  auto got = Collect(&top);
+  auto got = TopK(Rows({5, 1, 9, 3, 7}), 0, 3, /*descending=*/true);
   ASSERT_EQ(got.size(), 3u);
   EXPECT_EQ(got[0].at(0).AsUint64(), 9u);
   EXPECT_EQ(got[1].at(0).AsUint64(), 7u);
@@ -26,24 +23,20 @@ TEST(TopKTest, DescendingTakesLargest) {
 }
 
 TEST(TopKTest, AscendingTakesSmallest) {
-  TopK top(std::make_unique<VectorScan>(Rows({5, 1, 9, 3, 7})), 0, 2,
-           /*descending=*/false);
-  auto got = Collect(&top);
+  auto got = TopK(Rows({5, 1, 9, 3, 7}), 0, 2, /*descending=*/false);
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].at(0).AsUint64(), 1u);
   EXPECT_EQ(got[1].at(0).AsUint64(), 3u);
 }
 
 TEST(TopKTest, KLargerThanInput) {
-  TopK top(std::make_unique<VectorScan>(Rows({2, 1})), 0, 10, true);
-  auto got = Collect(&top);
+  auto got = TopK(Rows({2, 1}), 0, 10, true);
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].at(0).AsUint64(), 2u);
 }
 
 TEST(TopKTest, KZeroEmpty) {
-  TopK top(std::make_unique<VectorScan>(Rows({1, 2, 3})), 0, 0, true);
-  EXPECT_TRUE(Collect(&top).empty());
+  EXPECT_TRUE(TopK(Rows({1, 2, 3}), 0, 0, true).empty());
 }
 
 // Property: TopK over random data equals sort-then-truncate.
@@ -62,8 +55,7 @@ TEST_P(TopKProperty, MatchesSortTruncate) {
   std::sort(expect.rbegin(), expect.rend());
   expect.resize(std::min(k, expect.size()));
 
-  TopK top(std::make_unique<VectorScan>(std::move(rows)), 0, k, true);
-  auto got = Collect(&top);
+  auto got = TopK(std::move(rows), 0, k, true);
   ASSERT_EQ(got.size(), expect.size());
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].at(0).AsUint64(), expect[i]) << i;

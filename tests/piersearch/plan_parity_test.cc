@@ -1,8 +1,7 @@
 // The strategy-to-plan compilation contract: kDistributedJoin and
 // kInvertedCache searches execute through PierNode::ExecutePlan, and must
 // return exactly the corpus files matching the query at frozen message
-// counts — plus the SearchOptions::plan_rewrite hook and the FetchItems
-// deadline.
+// counts — plus the deadline of the plans' item fetch.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -165,64 +164,64 @@ TEST(PlanParityTest, OrderByPostingSizeRunsAsPlanRewrite) {
   EXPECT_LE(run(true), 2u);     // rewrite visits "gemstone" first
 }
 
-TEST(PlanParityTest, PlanRewriteHookShapesTheQuery) {
-  Cluster c(32);
-  PublishCorpus(&c);
-  SearchOptions options;
-  options.fetch_items = false;
-  size_t hook_calls = 0;
-  options.plan_rewrite = [&hook_calls](pier::QueryPlan* plan) {
-    ++hook_calls;
-    // Graft a tighter cap onto whatever the engine compiled.
-    pier::PlanNode limit;
-    limit.kind = pier::PlanNode::Kind::kLimit;
-    limit.n = 1;
-    limit.children.push_back(plan->root);
-    plan->nodes.push_back(std::move(limit));
-    plan->root = static_cast<uint32_t>(plan->nodes.size() - 1);
-  };
-  auto ids = PlanSearch(&c, 6, "beatles", options);
-  EXPECT_EQ(hook_calls, 1u);
-  EXPECT_EQ(ids.size(), 1u);  // two beatles files, hook capped to one
-}
-
-TEST(PlanParityTest, FetchItemsHonorsQueryTimeout) {
+TEST(PlanParityTest, FetchJoinLegHonorsPlanTimeout) {
   Cluster c(24);
-  // One item whose owner answers 60 simulated seconds late: the fetch leg
-  // must fail the query at its own deadline instead of riding the DHT's
-  // 10-second progress watchdog past it.
+  // One item whose owner answers 60 simulated seconds late: the plan's
+  // FetchJoin leg must fail the query at the plan deadline instead of
+  // riding the DHT's 10-second progress watchdog past it.
   uint64_t id = 42;
+  dht::Key item_key = HashCombine(Fnv1a64(ItemSchema().table_name()),
+                                  pier::Value(id).Hash());
+  sim::HostId owner = c.dht->ExpectedOwner(item_key)->host();
+  // Index the item under a keyword another node owns, and query from that
+  // node: only the fetch leg meets the slow host.
+  std::string keyword;
+  size_t from = c.piers.size();
+  for (int i = 0; from == c.piers.size(); ++i) {
+    keyword = "slow" + std::to_string(i);
+    dht::DhtNode* kw_owner = c.dht->ExpectedOwner(
+        HashCombine(Fnv1a64(InvertedSchema().table_name()),
+                    pier::Value(keyword).Hash()));
+    if (kw_owner->host() == owner) continue;
+    for (size_t p = 0; p < c.piers.size(); ++p) {
+      if (c.pier(p)->dht() == kw_owner) from = p;
+    }
+  }
+  c.pier(0)->PublishBatch(
+      InvertedSchema(), {pier::Tuple({pier::Value(keyword), pier::Value(id)})});
   c.pier(0)->PublishBatch(
       ItemSchema(),
       {pier::Tuple({pier::Value(id), pier::Value("slow file.mp3"),
                     pier::Value(uint64_t{100}), pier::Value(uint64_t{9}),
                     pier::Value(uint64_t{6346})})});
   c.simulator.Run();
-  dht::Key k = HashCombine(Fnv1a64(ItemSchema().table_name()),
-                           pier::Value(id).Hash());
-  sim::HostId owner = c.dht->ExpectedOwner(k)->host();
   c.network->SetProcessingDelay(owner, 60 * sim::kSecond);
 
-  size_t from = 2;
-  while (c.pier(from)->host() == owner) ++from;
-  ASSERT_NE(c.pier(from)->host(), owner);
   SearchOptions options;
   options.timeout = 2 * sim::kSecond;
   SearchEngine engine(c.pier(from));
+  uint64_t partials_before = c.metrics.partial_results;
+  sim::SimTime start = c.simulator.now();
   Status status = Status::OK();
-  bool done = false;
+  pier::Completeness completeness;
+  int calls = 0;
   sim::SimTime finished = 0;
-  engine.FetchItems({id}, options, [&](Status s, auto hits,
-                                      const pier::Completeness&) {
-    done = true;
-    status = s;
-    finished = c.simulator.now();
-    EXPECT_TRUE(hits.empty());
-  });
+  engine.RunPlan(BuildSearchPlan({keyword}, options), options,
+                 [&](Status s, auto hits, const pier::Completeness& cc) {
+                   ++calls;
+                   status = s;
+                   completeness = cc;
+                   finished = c.simulator.now();
+                   EXPECT_TRUE(hits.empty());
+                 });
   c.simulator.Run();
-  EXPECT_TRUE(done);
+  EXPECT_EQ(calls, 1);
   EXPECT_EQ(status.code(), StatusCode::kTimedOut);
-  EXPECT_LE(finished, 3 * sim::kSecond);
+  EXPECT_EQ(status.message(), "plan item fetch");
+  EXPECT_LE(finished - start, 3 * sim::kSecond);
+  EXPECT_FALSE(completeness.exact);
+  EXPECT_EQ(completeness.coverage_fraction, 0.0);
+  EXPECT_EQ(c.metrics.partial_results - partials_before, 1u);
 }
 
 }  // namespace

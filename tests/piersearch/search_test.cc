@@ -291,33 +291,6 @@ TEST(PierSearchTest, AnswerFetchCostsOneRoutedGetPerOwner) {
   EXPECT_EQ(c.dht->metrics().multi_gets - before, owners.size());
 }
 
-TEST(PierSearchTest, FetchItemsDedupesBeforeTruncating) {
-  Cluster c(16);
-  // Two distinct items, fetched with duplicated join keys and a cap of 2:
-  // without dedupe-first, {1, 1} would evict item 2 at the truncation.
-  std::vector<pier::Tuple> items;
-  for (uint64_t id : {uint64_t{1}, uint64_t{2}}) {
-    items.push_back(
-        pier::Tuple({pier::Value(id),
-                     pier::Value("file" + std::to_string(id) + ".mp3"),
-                     pier::Value(uint64_t{100}), pier::Value(uint64_t{9}),
-                     pier::Value(uint64_t{6346})}));
-  }
-  c.pier(0)->PublishBatch(ItemSchema(), std::move(items));
-  c.simulator.Run();
-  SearchEngine engine(c.pier(2));
-  SearchOptions opts;
-  opts.max_results = 2;
-  std::set<uint64_t> got;
-  engine.FetchItems({1, 1, 1, 2}, opts, [&](Status s, auto hits,
-                                            const pier::Completeness&) {
-    ASSERT_TRUE(s.ok());
-    for (const auto& h : hits) got.insert(h.file_id);
-  });
-  c.simulator.Run();
-  EXPECT_EQ(got, (std::set<uint64_t>{1, 2}));
-}
-
 TEST(PierSearchTest, SoftStateExpires) {
   Cluster c(16);
   Publisher pub(c.pier(0));
