@@ -52,12 +52,9 @@ ModeResult RunModeFresh(gnutella::LeafPublishMode mode, double scale) {
   tc.seed = 7;
   gnutella::GnutellaNetwork gnet(&network, tc);
   for (size_t i = 0; i < wc.num_nodes; ++i) {
-    auto* node = gnet.node(i);
-    node->SetSharedFiles(trace.FilenamesOfNode(i));
-    if (node->role() == gnutella::Role::kLeaf) {
-      for (sim::HostId up : node->parent_ultrapeers()) node->RepublishTo(up);
-    }
+    gnet.node(i)->SetSharedFiles(trace.FilenamesOfNode(i));
   }
+  gnet.PublishAllFiles();
   simulator.Run();
 
   ModeResult out;

@@ -48,14 +48,9 @@ int main(int argc, char** argv) {
     tc.seed = 6;
     gnutella::GnutellaNetwork gnet(&network, tc);
     for (size_t i = 0; i < wc.num_nodes; ++i) {
-      auto* node = gnet.node(i);
-      node->SetSharedFiles(trace.FilenamesOfNode(i));
-      if (node->role() == gnutella::Role::kLeaf) {
-        for (sim::HostId up : node->parent_ultrapeers()) {
-          node->RepublishTo(up);
-        }
-      }
+      gnet.node(i)->SetSharedFiles(trace.FilenamesOfNode(i));
     }
+    gnet.PublishAllFiles();
     dht::DhtDeployment dht(&network, 50, dht::DhtOptions{}, 314);
     pier::PierMetrics pm;
     hybrid::HybridConfig hc;

@@ -67,14 +67,9 @@ std::unique_ptr<ReplaySetup> BuildReplaySetup(const ReplayConfig& config) {
       setup->network.get(), tc);
 
   for (size_t i = 0; i < total_nodes; ++i) {
-    auto* node = setup->gnutella->node(i);
-    node->SetSharedFiles(setup->trace.FilenamesOfNode(i));
-    if (node->role() == gnutella::Role::kLeaf) {
-      for (sim::HostId up : node->parent_ultrapeers()) {
-        node->RepublishTo(up);
-      }
-    }
+    setup->gnutella->node(i)->SetSharedFiles(setup->trace.FilenamesOfNode(i));
   }
+  setup->gnutella->PublishAllFiles();
   setup->simulator.Run();
   return setup;
 }

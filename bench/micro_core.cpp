@@ -1560,8 +1560,8 @@ static void BM_Robust_AdmissionOverload(benchmark::State& state) {
                    shed_comp.shed && !shed_comp.exact &&
                    shed_comp.retry_after > 0;
     shed_bounded = shed_bounded &&
-                   c.metrics.plans_shed == bopts.admission_defer_budget + 1 &&
-                   c.metrics.plans_deferred == bopts.admission_defer_budget;
+                   c.metrics.plans_shed == pier::kAdmissionDeferBudget + 1 &&
+                   c.metrics.plans_deferred == pier::kAdmissionDeferBudget;
     // One observed partial (the shed), counted exactly once.
     partials_match = partials_match && c.metrics.partial_results == 1;
     shed_total += c.metrics.plans_shed;

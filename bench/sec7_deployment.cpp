@@ -70,12 +70,9 @@ RunResult RunDeployment(bool inverted_cache, double scale) {
   tc.seed = 6;
   gnutella::GnutellaNetwork gnet(&network, tc);
   for (size_t i = 0; i < wc.num_nodes; ++i) {
-    auto* node = gnet.node(i);
-    node->SetSharedFiles(trace.FilenamesOfNode(i));
-    if (node->role() == gnutella::Role::kLeaf) {
-      for (sim::HostId up : node->parent_ultrapeers()) node->RepublishTo(up);
-    }
+    gnet.node(i)->SetSharedFiles(trace.FilenamesOfNode(i));
   }
+  gnet.PublishAllFiles();
 
   // 50 hybrid ultrapeers share a Bamboo-style DHT (the paper used Bamboo).
   size_t num_hybrid = std::min<size_t>(50, num_ups);

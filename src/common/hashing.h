@@ -23,9 +23,6 @@ uint64_t Mix64(uint64_t x);
 /// Combines two 64-bit hashes (boost::hash_combine style, 64-bit constants).
 uint64_t HashCombine(uint64_t a, uint64_t b);
 
-/// Hash of an integer key (avalanched), for hash-join bucketing.
-inline uint64_t HashUint64(uint64_t x) { return Mix64(x); }
-
 /// Formats a 64-bit hash as fixed-width hex, e.g. "00c0ffee00c0ffee".
 std::string HashToHex(uint64_t h);
 

@@ -136,80 +136,24 @@ std::vector<std::pair<double, double>> MeanByGroup(
   return out;
 }
 
-// One thread's private delta accumulator. The slab mutex is only ever
-// contended when an export-side merge overlaps the owner's increments, so
-// the hot path pays an uncontended lock, never the CounterSet-wide mu_.
-struct CounterSet::Slab {
-  std::mutex mu;
-  std::map<std::string, uint64_t> deltas;
-};
-
-namespace {
-// (instance id → slab) for the current thread. Keyed by a process-unique
-// id rather than the CounterSet address so a recycled allocation can never
-// alias a dead set's slab.
-thread_local std::map<uint64_t, void*> tls_slabs;
-std::atomic<uint64_t> next_counter_set_id{1};
-}  // namespace
-
-CounterSet::CounterSet()
-    : instance_id_(
-          next_counter_set_id.fetch_add(1, std::memory_order_relaxed)) {}
-
-CounterSet::~CounterSet() = default;
-
-CounterSet::Slab* CounterSet::ThreadSlab() {
-  auto it = tls_slabs.find(instance_id_);
-  if (it != tls_slabs.end()) return static_cast<Slab*>(it->second);
-  auto slab = std::make_unique<Slab>();
-  Slab* raw = slab.get();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    slabs_.push_back(std::move(slab));
-  }
-  tls_slabs[instance_id_] = raw;
-  return raw;
-}
-
-void CounterSet::MergeLocked() const {
-  for (const auto& slab : slabs_) {
-    std::lock_guard<std::mutex> slab_lock(slab->mu);
-    for (auto& [name, delta] : slab->deltas) {
-      if (delta == 0) continue;
-      entries_[name] += delta;
-      delta = 0;
-    }
-  }
-}
-
 void CounterSet::Set(const std::string& name, uint64_t value) {
   std::lock_guard<std::mutex> lock(mu_);
-  MergeLocked();
   entries_[name] = value;
-}
-
-void CounterSet::Increment(const std::string& name, uint64_t delta) {
-  Slab* slab = ThreadSlab();
-  std::lock_guard<std::mutex> lock(slab->mu);
-  slab->deltas[name] += delta;
 }
 
 uint64_t CounterSet::Value(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
-  MergeLocked();
   auto it = entries_.find(name);
   return it == entries_.end() ? 0 : it->second;
 }
 
 bool CounterSet::Has(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
-  MergeLocked();
   return entries_.count(name) > 0;
 }
 
 const std::map<std::string, uint64_t>& CounterSet::entries() const {
   std::lock_guard<std::mutex> lock(mu_);
-  MergeLocked();
   return entries_;
 }
 

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -154,26 +153,13 @@ std::vector<std::pair<double, double>> MeanByGroup(
 /// exporting its own metrics struct. Names are dotted, e.g.
 /// "pier.adaptive_flushes".
 ///
-/// Safe for concurrent Increment from shard worker threads (sim/shard.h):
-/// each thread accumulates into its own slab behind a per-slab lock that
-/// only an overlapping export can contend — the hot increment path never
-/// touches the CounterSet-wide mutex after a thread's first touch. Slabs
-/// are folded into the base map by Set/Value/Has/entries (the export-side
-/// readers); totals are exact whenever the counting threads are at a shard
-/// barrier or done — the only places exports happen.
+/// Layers count concurrently in their own RelaxedCounter fields and export
+/// here with Set, at a shard barrier or after the run. Set, Value and Has
+/// take a mutex, so calls from several threads may overlap.
 class CounterSet {
  public:
-  CounterSet();
-  ~CounterSet();
-  CounterSet(const CounterSet&) = delete;
-  CounterSet& operator=(const CounterSet&) = delete;
-
-  /// Sets `name` to `value` (overwrites, absorbing any pending slab deltas).
+  /// Sets `name` to `value` (overwrites).
   void Set(const std::string& name, uint64_t value);
-
-  /// Adds `delta` to `name` (creating it at 0 first). Thread-safe; lands in
-  /// the calling thread's slab.
-  void Increment(const std::string& name, uint64_t delta = 1);
 
   /// Value of `name`, or 0 if it was never set.
   uint64_t Value(const std::string& name) const;
@@ -181,19 +167,12 @@ class CounterSet {
   bool Has(const std::string& name) const;
 
   /// All counters, sorted by name. The returned map is stable until the
-  /// next mutating or merging call.
+  /// next Set.
   const std::map<std::string, uint64_t>& entries() const;
 
  private:
-  struct Slab;
-  Slab* ThreadSlab();
-  /// Folds every slab's deltas into entries_ and clears them. mu_ held.
-  void MergeLocked() const;
-
-  const uint64_t instance_id_;  ///< Key for the thread-local slab lookup.
   mutable std::mutex mu_;
-  mutable std::map<std::string, uint64_t> entries_;
-  mutable std::vector<std::unique_ptr<Slab>> slabs_;
+  std::map<std::string, uint64_t> entries_;
 };
 
 }  // namespace pierstack

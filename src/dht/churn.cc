@@ -28,8 +28,8 @@ void ChurnDriver::Execute(sim::ChurnEvent::Kind kind) {
   }
   if (kind == sim::ChurnEvent::kRestart) {
     // Revive a node this driver previously crashed, under its original
-    // identity. The RNG pick mirrors the crash path so a fixed seed yields
-    // the same victim sequence in durable and amnesia runs alike.
+    // identity, recovering its durable image. The RNG pick mirrors the
+    // crash path so a fixed seed yields the same victim sequence.
     if (crashed_.empty()) {
       ++stats_.skipped;
       return;
@@ -37,8 +37,7 @@ void ChurnDriver::Execute(sim::ChurnEvent::Kind kind) {
     size_t slot = rng_.NextBelow(crashed_.size());
     size_t pick = crashed_[slot];
     crashed_.erase(crashed_.begin() + static_cast<ptrdiff_t>(slot));
-    deployment_->node(pick)->Restart(deployment_->node(0)->host(),
-                                     restart_durable_);
+    deployment_->node(pick)->Restart(deployment_->node(0)->host());
     ++stats_.restarts;
     if (plan_ != nullptr) plan_->CountChurn(sim::ChurnEvent::kRestart);
     return;

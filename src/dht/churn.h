@@ -7,10 +7,12 @@
 // kCrash picks a random live non-bootstrap node and crashes it, each kJoin
 // spins up a fresh node through the dynamic join protocol, and each
 // kRestart revives a previously crashed node under its ORIGINAL identity
-// (same HostId, same NodeId) through DhtNode::Restart. Selection is driven
-// by the driver's own forked RNG, so a fixed seed reproduces the identical
-// membership history event-for-event — including which node restarts —
-// regardless of whether restarts run durable or amnesiac.
+// (same HostId, same NodeId) through DhtNode::Restart. These restarts are
+// durable: the node recovers its crash-time store and remembered peers. An
+// amnesia restart (empty store) is a direct DhtNode::Restart(bootstrap,
+// false) call. Selection is driven by the driver's own forked RNG, so a
+// fixed seed reproduces the identical membership history event-for-event —
+// including which node restarts.
 #pragma once
 
 #include <cstdint>
@@ -45,11 +47,6 @@ class ChurnDriver {
   /// The caller then runs the simulator; events fire at their times.
   void Schedule(const std::vector<sim::ChurnEvent>& timeline);
 
-  /// Whether kRestart events recover the durable image (store + identity +
-  /// remembered peers) or come back amnesiac (identity only, empty store).
-  /// Flip BEFORE running the simulator; defaults to durable.
-  void set_restart_durable(bool durable) { restart_durable_ = durable; }
-
   const ChurnStats& stats() const { return stats_; }
 
  private:
@@ -59,7 +56,6 @@ class ChurnDriver {
   Rng rng_;
   sim::FaultPlan* plan_;
   ChurnStats stats_;
-  bool restart_durable_ = true;
   /// Deployment indices of nodes this driver crashed and has not yet
   /// restarted — the symmetric bookkeeping that lets kRestart revive a
   /// real victim instead of guessing. FIFO order is immaterial; the pick

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 #include "common/hashing.h"
@@ -61,8 +60,5 @@ inline Key KeyForString(std::string_view s) { return Fnv1a64(s); }
 inline Key KeyForNamespaced(std::string_view ns, std::string_view s) {
   return HashCombine(Fnv1a64(ns), Fnv1a64(s));
 }
-
-/// Hex rendering for logs and tests.
-inline std::string KeyToHex(Key k) { return HashToHex(k); }
 
 }  // namespace pierstack::dht

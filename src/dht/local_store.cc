@@ -10,15 +10,17 @@ namespace pierstack::dht {
 
 namespace {
 
+bool AliveFn(const StoredValue& v, sim::SimTime now) {
+  return v.expiry == 0 || v.expiry > now;
+}
+
 /// Emits a TupleBatch image (count prefix + concatenated frames) from the
 /// live entries a range walk yields.
 template <typename It>
-std::vector<uint8_t> AssembleImage(It lo, It hi, sim::SimTime now,
-                                   bool alive(const StoredValue&,
-                                              sim::SimTime)) {
+std::vector<uint8_t> AssembleImage(It lo, It hi, sim::SimTime now) {
   size_t count = 0, bytes = 0;
   for (It it = lo; it != hi; ++it) {
-    if (!alive(it->second, now)) continue;
+    if (!AliveFn(it->second, now)) continue;
     ++count;
     bytes += it->second.value.size();
   }
@@ -26,14 +28,10 @@ std::vector<uint8_t> AssembleImage(It lo, It hi, sim::SimTime now,
   w.Reserve(VarintSize(count) + bytes);
   w.PutVarint(count);
   for (It it = lo; it != hi; ++it) {
-    if (!alive(it->second, now)) continue;
+    if (!AliveFn(it->second, now)) continue;
     w.PutBytes(it->second.value.data(), it->second.value.size());
   }
   return w.Take();
-}
-
-bool AliveFn(const StoredValue& v, sim::SimTime now) {
-  return v.expiry == 0 || v.expiry > now;
 }
 
 /// The canonical empty batch image ({count = 0}), shared by every miss.
@@ -169,7 +167,7 @@ BatchImage LocalStore::GetBatch(const std::string& ns, Key key,
     }
   }
   auto image = std::make_shared<const std::vector<uint8_t>>(
-      AssembleImage(lo, hi, now, AliveFn));
+      AssembleImage(lo, hi, now));
   // An image over the whole byte budget is served but never cached — one
   // giant posting list must not monopolize (or thrash) the cache.
   if (image->size() > max_image_bytes_per_ns_) return image;
@@ -183,27 +181,6 @@ BatchImage LocalStore::GetBatch(const std::string& ns, Key key,
   image_bytes_ += image->size();
   cache.images.emplace(key, CachedImage{image, valid_until, ++image_seq_});
   return image;
-}
-
-std::vector<uint8_t> LocalStore::ScanBatch(const std::string& ns,
-                                           sim::SimTime now) const {
-  auto sit = spaces_.find(ns);
-  if (sit == spaces_.end()) return {0};
-  return AssembleImage(sit->second.begin(), sit->second.end(), now, AliveFn);
-}
-
-size_t LocalStore::Erase(const std::string& ns, Key key) {
-  InvalidateImage(ns, key);
-  auto sit = spaces_.find(ns);
-  if (sit == spaces_.end()) return 0;
-  auto [lo, hi] = sit->second.equal_range(key);
-  size_t n = 0;
-  for (auto it = lo; it != hi;) {
-    total_bytes_ -= it->second.value.size();
-    it = sit->second.erase(it);
-    ++n;
-  }
-  return n;
 }
 
 std::vector<StoredValue> LocalStore::ExtractRange(const std::string& ns,
@@ -221,17 +198,6 @@ std::vector<StoredValue> LocalStore::ExtractRange(const std::string& ns,
     } else {
       ++it;
     }
-  }
-  return out;
-}
-
-std::vector<StoredValue> LocalStore::CollectRange(const std::string& ns,
-                                                  Key from, Key to) const {
-  std::vector<StoredValue> out;
-  auto sit = spaces_.find(ns);
-  if (sit == spaces_.end()) return out;
-  for (const auto& [k, v] : sit->second) {
-    if (InOpenClosed(from, to, k)) out.push_back(v);
   }
   return out;
 }

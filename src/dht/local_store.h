@@ -3,12 +3,16 @@
 // PIER stores every tuple in the DHT (Section 2 of the paper); this is the
 // node-local slice of that storage. Values are opaque byte strings plus the
 // ring key they were published under; entries may carry an expiry time
-// (soft state) and are purged lazily.
+// (soft state). Every read hides expired entries, but nothing reclaims
+// them: PurgeExpired is the only path that frees them and no layer
+// schedules it, so expired entries stay in memory (and in TotalBytes)
+// until a handover extracts them. No workload here publishes with an
+// expiry.
 //
 // Batched reads hand out shared immutable TupleBatch images. Hot posting
 // lists are probed far more often than they change, so the assembled image
 // of each (ns, key) is cached and re-served by shared pointer until a Put,
-// Erase, extraction, or the expiry of a contained entry invalidates it —
+// an extraction, or the expiry of a contained entry invalidates it —
 // repeated probes cost a hash lookup instead of a re-concatenation.
 #pragma once
 
@@ -77,24 +81,11 @@ class LocalStore {
   /// of a contained entry invalidates it.
   BatchImage GetBatch(const std::string& ns, Key key, sim::SimTime now);
 
-  /// Batched Scan: the whole namespace as one TupleBatch image (uncached —
-  /// namespace-wide scans are cold-path).
-  std::vector<uint8_t> ScanBatch(const std::string& ns,
-                                 sim::SimTime now) const;
-
-  /// Removes every value under (ns, key); returns how many were removed.
-  size_t Erase(const std::string& ns, Key key);
-
   /// Removes entries whose ring key falls in (from, to] — used when handing
-  /// a key range to a joining node. Returns the removed entries.
+  /// a key range to a joining node; (k - 1, k] removes one key's values.
+  /// Returns the removed entries.
   std::vector<StoredValue> ExtractRange(const std::string& ns, Key from,
                                         Key to);
-
-  /// Copies (without removing) entries whose ring key falls in (from, to]
-  /// — the replication-preserving handover: a node shipping a range to its
-  /// new predecessor keeps its local copies as replica state.
-  std::vector<StoredValue> CollectRange(const std::string& ns, Key from,
-                                        Key to) const;
 
   /// Order-independent digest of the live values under one (ns, key):
   /// a commutative sum of per-value hashes plus the live count. Two
@@ -125,7 +116,8 @@ class LocalStore {
   /// the next purge).
   std::vector<std::string> Namespaces() const;
 
-  /// Drops expired entries; returns how many were dropped.
+  /// Drops expired entries; returns how many were dropped. The only path
+  /// that reclaims expired soft state (see the file comment).
   size_t PurgeExpired(sim::SimTime now);
 
   /// Number of live entries across all namespaces.

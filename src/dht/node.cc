@@ -16,7 +16,21 @@ constexpr size_t kNodeInfoBytes = 12;
 
 constexpr size_t kRouteCacheCapacity = 256;  ///< Owner arcs remembered.
 constexpr uint32_t kMaxRouteHops = 128;      ///< Hops before a route drops.
+constexpr sim::SimTime kStabilizeInterval = 500 * sim::kMillisecond;
 constexpr sim::SimTime kFixFingerInterval = 250 * sim::kMillisecond;
+/// Proactive failure detector: periodic liveness pings to the ring
+/// neighborhood (predecessor, leading successors, a rotating finger), with
+/// eviction after kPingMissThreshold unanswered rounds. Runs wherever
+/// maintenance timers run; decoupled from the stabilize cadence so
+/// suspicion latency is bounded by the ping interval, not by whoever
+/// stabilize happens to probe. Matters most under partitions, where
+/// refused-send detection never triggers (the peer is reachable in neither
+/// direction, so nothing is ever sent to it to be refused).
+constexpr sim::SimTime kPingInterval = 300 * sim::kMillisecond;
+constexpr uint32_t kPingMissThreshold = 2;
+/// Re-sends of a Get/MultiGet after an attempt timeout; the attempts share
+/// kGetTimeout (see AttemptTimeout).
+constexpr uint32_t kGetRetries = 2;
 /// A stabilize round declares a silent successor failed after this long.
 constexpr sim::SimTime kRpcTimeout = 2 * sim::kSecond;
 /// Anti-entropy cadence: a node whose ownership or replica set changed
@@ -27,6 +41,15 @@ constexpr sim::SimTime kResyncInterval = 1 * sim::kSecond;
 /// and the exchange knits the two rings back together. Nodes that evicted
 /// nobody send nothing.
 constexpr sim::SimTime kReconcileInterval = 2 * sim::kSecond;
+
+/// Deadline of Get/MultiGet attempt `attempt` (0-based): the geometric
+/// schedule T0, 2*T0, 4*T0 whose kGetRetries+1 attempts sum to kGetTimeout,
+/// so retries recover from a mid-flight owner crash WITHOUT extending the
+/// caller-visible deadline.
+sim::SimTime AttemptTimeout(uint32_t attempt) {
+  constexpr uint64_t kSlices = (uint64_t{1} << (kGetRetries + 1)) - 1;
+  return (kGetTimeout / kSlices) << attempt;
+}
 
 std::unique_ptr<RoutingTable> MakeRouting(OverlayKind kind, NodeInfo self) {
   switch (kind) {
@@ -272,8 +295,6 @@ void DhtNode::CancelPendingRequests() {
   pending_gets_.clear();
   for (auto& [id, p] : pending_multi_gets_) s->Cancel(p.timeout);
   pending_multi_gets_.clear();
-  for (auto& [id, p] : pending_lookups_) s->Cancel(p.timeout);
-  pending_lookups_.clear();
   pending_puts_.clear();
   ping_outstanding_.clear();
 }
@@ -460,9 +481,6 @@ void DhtNode::DeliverLocally(const RouteMsg& msg) {
     case kAppFingerLookup:
       HandleFingerLookupUpcall(msg);
       return;
-    case kAppLookup:
-      HandleLookupUpcall(msg);
-      return;
     default: {
       // App upcalls (PIER join stages, size probes) reply outside the DHT,
       // so the owner teaches the origin with a standalone hint.
@@ -569,17 +587,6 @@ void DhtNode::PutBatch(const std::string& ns, Key key,
   Route(key, kAppPutBatch, body, bytes, req_id);
 }
 
-sim::SimTime DhtNode::AttemptTimeout(uint32_t attempt) const {
-  // Geometric schedule T0, 2*T0, 4*T0, ... whose get_retries+1 attempts
-  // sum to get_timeout: retries recover from a mid-flight owner crash
-  // WITHOUT extending the caller-visible deadline. get_retries == 0
-  // degenerates to the single full-deadline attempt.
-  uint64_t slices = (uint64_t{1} << (options_.get_retries + 1)) - 1;
-  sim::SimTime base = options_.get_timeout / slices;
-  if (base == 0) base = 1;
-  return base << attempt;
-}
-
 void DhtNode::Get(const std::string& ns, Key key, GetCallback callback) {
   assert(callback != nullptr);
   ++metrics_->gets;
@@ -601,7 +608,7 @@ void DhtNode::OnGetAttemptTimeout(uint64_t req_id) {
   auto it = pending_gets_.find(req_id);
   if (it == pending_gets_.end()) return;
   PendingGet& p = it->second;
-  if (p.attempts < options_.get_retries) {
+  if (p.attempts < kGetRetries) {
     // The attempt died in flight (owner crashed, reply lost): re-send.
     // Ownership re-resolves on the ring under the current membership; the
     // reply path keys on req_id, so a late answer from the first attempt
@@ -629,7 +636,7 @@ void DhtNode::OnMultiGetAttemptTimeout(uint64_t req_id) {
   auto it = pending_multi_gets_.find(req_id);
   if (it == pending_multi_gets_.end()) return;
   PendingMultiGet& p = it->second;
-  if (p.attempts < options_.get_retries && !p.unanswered.empty()) {
+  if (p.attempts < kGetRetries && !p.unanswered.empty()) {
     // Re-scatter the unanswered remainder as one chained walk. The owner
     // cache is deliberately not consulted for the retry: if the first
     // attempt died because ownership moved, the ring is the only
@@ -710,23 +717,6 @@ void DhtNode::MultiGet(const std::string& ns, std::vector<Key> keys,
   };
   for (auto& [owner_host, group] : by_owner) send_scatter(std::move(group));
   if (!uncached.empty()) send_scatter(std::move(uncached));
-}
-
-void DhtNode::Lookup(Key target, LookupCallback callback) {
-  assert(callback != nullptr);
-  uint64_t req_id = NextReqId();
-  PendingLookup pending;
-  pending.callback = std::move(callback);
-  pending.timeout = network_->executor()->ScheduleAfter(host(), 
-      options_.get_timeout, [this, req_id]() {
-        auto it = pending_lookups_.find(req_id);
-        if (it == pending_lookups_.end()) return;
-        LookupCallback cb = std::move(it->second.callback);
-        pending_lookups_.erase(it);
-        cb(Status::TimedOut("dht lookup"), NodeInfo{}, 0);
-      });
-  pending_lookups_[req_id] = std::move(pending);
-  Route(target, kAppLookup, nullptr, 0, req_id);
 }
 
 void DhtNode::SetUpcallHandler(int app_type, UpcallHandler handler) {
@@ -999,27 +989,15 @@ void DhtNode::HandleFingerLookupUpcall(const RouteMsg& msg) {
                  FingerReplyBody{body.index, info()}));
 }
 
-void DhtNode::HandleLookupUpcall(const RouteMsg& msg) {
-  OwnerHint hint = OwnerHintFor(msg.target);
-  SendDirect(msg.origin.host,
-             sim::Message::Make<LookupReplyBody>(
-                 kLookupReply, "dht.reply",
-                 12 + kNodeInfoBytes + (hint.valid ? kOwnerHintBytes : 0),
-                 LookupReplyBody{msg.req_id, info(), msg.hops, hint}));
-}
-
 void DhtNode::StartMaintenanceTimers() {
   // Stagger nodes deterministically so maintenance doesn't synchronize.
-  sim::SimTime offset =
-      (host() % 16) * (options_.stabilize_interval / 16);
+  sim::SimTime offset = (host() % 16) * (kStabilizeInterval / 16);
   stabilize_timer_ = network_->executor()->ScheduleAfter(host(), 
-      options_.stabilize_interval + offset, [this]() { DoStabilize(); });
+      kStabilizeInterval + offset, [this]() { DoStabilize(); });
   fix_finger_timer_ = network_->executor()->ScheduleAfter(host(), 
       kFixFingerInterval + offset, [this]() { DoFixFinger(); });
-  if (options_.failure_detector) {
-    detector_timer_ = network_->executor()->ScheduleAfter(host(), 
-        options_.ping_interval + offset, [this]() { DoFailureDetector(); });
-  }
+  detector_timer_ = network_->executor()->ScheduleAfter(host(), 
+      kPingInterval + offset, [this]() { DoFailureDetector(); });
   if (options_.replication > 1) {
     resync_timer_ = network_->executor()->ScheduleAfter(host(),
         kResyncInterval + offset, [this]() { DoResync(); });
@@ -1031,7 +1009,7 @@ void DhtNode::StartMaintenanceTimers() {
 void DhtNode::DoStabilize() {
   if (crashed_ || !joined_) return;
   stabilize_timer_ = network_->executor()->ScheduleAfter(host(), 
-      options_.stabilize_interval, [this]() { DoStabilize(); });
+      kStabilizeInterval, [this]() { DoStabilize(); });
   ChordRouting* c = chord();
   if (c == nullptr) return;
   // Probe the predecessor's liveness; a refused connection clears the
@@ -1085,13 +1063,13 @@ void DhtNode::DoFixFinger() {
 void DhtNode::DoFailureDetector() {
   if (crashed_ || !joined_) return;
   detector_timer_ = network_->executor()->ScheduleAfter(host(), 
-      options_.ping_interval, [this]() { DoFailureDetector(); });
+      kPingInterval, [this]() { DoFailureDetector(); });
   ChordRouting* c = chord();
   if (c == nullptr) return;
   // The probe set is the neighborhood routing correctness depends on —
   // predecessor and the leading successors — plus one rotating finger so
   // the whole table is eventually swept. Eviction latency is therefore
-  // bounded by (miss_threshold + 1) ping intervals for ring neighbors,
+  // bounded by (kPingMissThreshold + 1) ping intervals for ring neighbors,
   // independent of what stabilize happens to probe.
   std::vector<sim::HostId> targets;
   auto add = [&](const NodeInfo& n) {
@@ -1115,7 +1093,7 @@ void DhtNode::DoFailureDetector() {
   }
   for (sim::HostId t : targets) {
     uint32_t& misses = ping_outstanding_[t];
-    if (misses >= options_.ping_miss_threshold) {
+    if (misses >= kPingMissThreshold) {
       // Suspicion confirmed: unanswered for `misses` consecutive rounds.
       ping_outstanding_.erase(t);
       ++metrics_->detector_evictions;
@@ -1443,17 +1421,6 @@ void DhtNode::HandleMessage(sim::HostId from, const sim::Message& msg) {
       PutCallback cb = std::move(it->second);
       pending_puts_.erase(it);
       cb(Status::OK());
-      return;
-    }
-    case kLookupReply: {
-      const auto& reply = msg.as<LookupReplyBody>();
-      LearnOwner(reply.hint);
-      auto it = pending_lookups_.find(reply.req_id);
-      if (it == pending_lookups_.end()) return;
-      network_->executor()->Cancel(it->second.timeout);
-      LookupCallback cb = std::move(it->second.callback);
-      pending_lookups_.erase(it);
-      cb(Status::OK(), reply.owner, reply.hops);
       return;
     }
     case kJoinReply: {

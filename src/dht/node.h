@@ -63,7 +63,6 @@ enum RoutedApp : int {
   kAppGet = 2,
   kAppJoinLookup = 3,
   kAppFingerLookup = 4,
-  kAppLookup = 5,
   kAppPutBatch = 6,
   kAppGetMulti = 8,
   kAppUserBase = 100,
@@ -152,7 +151,14 @@ struct DhtMetrics {
   }
 };
 
-/// Tunables for a DHT deployment.
+/// Caller-visible deadline of one Get or MultiGet: its attempts (the first
+/// send plus two re-sends after attempt timeouts) back off geometrically
+/// and sum to this, so retries never extend it.
+constexpr sim::SimTime kGetTimeout = 10 * sim::kSecond;
+
+/// Tunables for a DHT deployment. The maintenance cadences (500 ms
+/// stabilize, 300 ms liveness pings with eviction after two misses) and the
+/// two Get re-sends are constants of dht/node.cc.
 struct DhtOptions {
   OverlayKind overlay = OverlayKind::kChord;
   /// Copies per key (1 = owner only). With replication > 1, reads are
@@ -176,28 +182,11 @@ struct DhtOptions {
   /// direct one-hop send before ring routing (see dht/route_cache.h).
   /// Ignored — forced off — under kClassicChord.
   bool owner_location_cache = true;
-  /// Run periodic ring maintenance (stabilize + fix-fingers) on statically
-  /// bootstrapped nodes. Off by default so static simulations quiesce;
-  /// dynamically joined nodes always run maintenance.
+  /// Run periodic ring maintenance (stabilize + fix-fingers, the proactive
+  /// failure detector, re-sync and reconcile) on statically bootstrapped
+  /// nodes. Off by default so static simulations quiesce; dynamically
+  /// joined nodes always run maintenance.
   bool maintenance = false;
-  sim::SimTime stabilize_interval = 500 * sim::kMillisecond;
-  sim::SimTime get_timeout = 10 * sim::kSecond;
-  /// Proactive failure detector: periodic liveness pings to the ring
-  /// neighborhood (predecessor, leading successors, a rotating finger),
-  /// with eviction after `ping_miss_threshold` unanswered rounds. Runs
-  /// only where maintenance timers run; decoupled from the stabilize
-  /// cadence so suspicion latency is bounded by the ping interval, not by
-  /// whoever stabilize happens to probe. Matters most under partitions,
-  /// where refused-send detection never triggers (the peer is reachable
-  /// in neither direction, so nothing is ever sent to it to be refused).
-  bool failure_detector = true;
-  sim::SimTime ping_interval = 300 * sim::kMillisecond;
-  uint32_t ping_miss_threshold = 2;
-  /// Re-send attempts for Get/MultiGet after an attempt timeout.
-  /// Attempt deadlines back off geometrically and sum to `get_timeout`,
-  /// so the caller-visible total deadline is unchanged; 0 restores the
-  /// single-attempt behavior bit-for-bit.
-  uint32_t get_retries = 2;
 };
 
 /// One DHT node. Create via DhtBuilder (static deployments) or construct
@@ -217,8 +206,6 @@ class DhtNode : public sim::Host {
   using MultiGetCallback =
       std::function<void(Status, std::vector<MultiGetItem>)>;
   using PutCallback = std::function<void(Status)>;
-  using LookupCallback = std::function<void(Status, NodeInfo owner,
-                                            uint32_t hops)>;
   using UpcallHandler = std::function<void(const RouteMsg&)>;
   using DirectHandler =
       std::function<void(sim::HostId from, const sim::Message&)>;
@@ -268,6 +255,8 @@ class DhtNode : public sim::Host {
   bool crashed() const { return crashed_; }
 
   // --- Core API (paper's put/get/route interface) ------------------------
+  // Each call below resolves the key's owner on the ring itself; there is
+  // no separate owner-lookup RPC.
 
   /// Routes an application payload to the owner of `target`; the owner's
   /// registered upcall for `app_type` fires with the RouteMsg.
@@ -317,9 +306,6 @@ class DhtNode : public sim::Host {
   /// MultiGet with explicit options (the 3-argument form uses defaults).
   void MultiGet(const std::string& ns, std::vector<Key> keys,
                 MultiGetCallback callback, const MultiGetOptions& options);
-
-  /// Resolves the current owner of `target`.
-  void Lookup(Key target, LookupCallback callback);
 
   /// Registers the handler invoked when a routed message for `app_type`
   /// arrives at this node (this node being the key's owner).
@@ -387,7 +373,6 @@ class DhtNode : public sim::Host {
     kFingerReply = 8,
     kKeyTransfer = 9,
     kReplicaPut = 10,
-    kLookupReply = 11,
     kDirectApp = 12,
     kLeave = 13,
     kPredecessorPing = 14,
@@ -484,12 +469,6 @@ class DhtNode : public sim::Host {
     std::vector<MultiGetItem> items;  ///< This owner's share of the keys.
     OwnerHint hint;
   };
-  struct LookupReplyBody {
-    uint64_t req_id;
-    NodeInfo owner;
-    uint32_t hops;
-    OwnerHint hint;
-  };
 
   ChordRouting* chord() const;
 
@@ -537,7 +516,6 @@ class DhtNode : public sim::Host {
   bool DivertMultiGetToReplica(const RouteMsg& msg, const MultiGetBody& get);
   void HandleJoinLookupUpcall(const RouteMsg& msg);
   void HandleFingerLookupUpcall(const RouteMsg& msg);
-  void HandleLookupUpcall(const RouteMsg& msg);
   void ReplicateEntry(const std::string& ns, Key key,
                       const std::vector<uint8_t>& value, sim::SimTime expiry);
 
@@ -586,10 +564,6 @@ class DhtNode : public sim::Host {
   void OnMembershipChange(bool ownership_changed, bool replica_set_changed);
   void BumpEpoch();
 
-  /// Deadline of retry attempt `attempt` (0-based): geometric backoff whose
-  /// attempts sum to ~get_timeout, so the caller-visible total deadline is
-  /// preserved regardless of the retry count.
-  sim::SimTime AttemptTimeout(uint32_t attempt) const;
   void OnGetAttemptTimeout(uint64_t req_id);
   void OnMultiGetAttemptTimeout(uint64_t req_id);
 
@@ -645,11 +619,6 @@ class DhtNode : public sim::Host {
   };
   std::map<uint64_t, PendingMultiGet> pending_multi_gets_;
   std::map<uint64_t, PutCallback> pending_puts_;
-  struct PendingLookup {
-    LookupCallback callback;
-    sim::EventId timeout = sim::kInvalidEventId;
-  };
-  std::map<uint64_t, PendingLookup> pending_lookups_;
 
   uint64_t stabilize_seq_ = 0;
   uint64_t last_stabilize_reply_ = 0;

@@ -15,12 +15,14 @@ uint64_t MakeFileId(const std::string& filename, uint64_t size_bytes,
 
 namespace {
 
-// The constructor's member initializers read the config, so it is checked
-// before any of them does.
-const GnutellaConfig& CheckedConfig(const GnutellaConfig* config) {
-  assert(config != nullptr);
-  return *config;
-}
+/// GUIDs each node remembers for duplicate suppression and reverse paths.
+constexpr size_t kGuidRouteCapacity = 1 << 16;
+/// False-positive rate the QRP keyword Bloom filters are sized for.
+constexpr double kQrpFpRate = 0.02;
+/// A dynamic query's first round probes this many neighbors at this TTL,
+/// then widens neighbor by neighbor (LimeWire's published design).
+constexpr size_t kProbeNeighbors = 3;
+constexpr uint8_t kProbeTtl = 1;
 
 }  // namespace
 
@@ -32,8 +34,8 @@ GnutellaNode::GnutellaNode(sim::Network* network, Role role,
       config_(config),
       metrics_(metrics),
       rng_(seed),
-      guids_(CheckedConfig(config).guid_route_capacity) {
-  assert(network != nullptr && metrics != nullptr);
+      guids_(kGuidRouteCapacity) {
+  assert(network != nullptr && config != nullptr && metrics != nullptr);
   host_ = network->AddHost(this);
 }
 
@@ -78,7 +80,7 @@ void GnutellaNode::RepublishTo(sim::HostId ultrapeer) {
       }
     }
     BloomFilter bloom = BloomFilter::ForItems(
-        std::max<size_t>(terms.size(), 8), config_->qrp_fp_rate);
+        std::max<size_t>(terms.size(), 8), kQrpFpRate);
     for (const auto& t : terms) bloom.Insert(t);
     size_t bytes = bloom.ByteSize();
     network_->Send(host_, ultrapeer,
@@ -128,7 +130,6 @@ bool GnutellaNode::QueryActive(Guid guid) const {
 void GnutellaNode::ExecuteQueryAsRoot(Guid guid, const std::string& text) {
   assert(role_ == Role::kUltrapeer);
   guids_.Remember(guid, sim::kInvalidHost);  // never re-process our own flood
-  if (query_observer_) query_observer_(guid, text, host_);
   MatchLocally(guid, text, sim::kInvalidHost);
 
   if (config_->query_mode == QueryMode::kFlood) {
@@ -145,11 +146,9 @@ void GnutellaNode::BeginDynamicQuery(Guid guid, const std::string& text) {
   state.text = text;
   state.pending_neighbors = up_neighbors_;
   rng_.Shuffle(&state.pending_neighbors);
-  size_t probes = std::min(config_->dynamic.probe_neighbors,
-                           state.pending_neighbors.size());
+  size_t probes = std::min(kProbeNeighbors, state.pending_neighbors.size());
   for (size_t i = 0; i < probes; ++i) {
-    SendQueryTo(state.pending_neighbors.back(), guid, text,
-                config_->dynamic.probe_ttl);
+    SendQueryTo(state.pending_neighbors.back(), guid, text, kProbeTtl);
     state.pending_neighbors.pop_back();
   }
   state.tick = network_->executor()->ScheduleAfter(host_, 
@@ -319,19 +318,6 @@ void GnutellaNode::BrowseHost(sim::HostId target, BrowseCallback callback) {
   }
 }
 
-void GnutellaNode::CrawlPeer(sim::HostId target, CrawlCallback callback) {
-  uint64_t req_id = next_req_id_++;
-  pending_crawls_[req_id] = std::move(callback);
-  if (!network_->Send(host_, target,
-                      sim::Message::Make<CrawlRequestBody>(
-                          kMsgCrawlReq, "gnutella.crawl", 16,
-                          CrawlRequestBody{req_id}))) {
-    auto cb = std::move(pending_crawls_[req_id]);
-    pending_crawls_.erase(req_id);
-    cb(Status::Unavailable("crawl target down"), {});
-  }
-}
-
 void GnutellaNode::HandleMessage(sim::HostId from, const sim::Message& msg) {
   switch (msg.type) {
     case kMsgQuery: {
@@ -341,7 +327,6 @@ void GnutellaNode::HandleMessage(sim::HostId from, const sim::Message& msg) {
         return;
       }
       guids_.Remember(q.guid, from);
-      if (query_observer_) query_observer_(q.guid, q.text, from);
       MatchLocally(q.guid, q.text, from);
       if (q.ttl > 1) {
         FloodQuery(QueryBody{q.guid, static_cast<uint8_t>(q.ttl - 1),
@@ -362,7 +347,6 @@ void GnutellaNode::HandleMessage(sim::HostId from, const sim::Message& msg) {
       const auto& q = msg.as<LeafQueryBody>();
       if (guids_.Find(q.guid) != nullptr) return;
       guids_.Remember(q.guid, from);  // hits route back to the leaf
-      if (query_observer_) query_observer_(q.guid, q.text, from);
       MatchLocally(q.guid, q.text, sim::kInvalidHost);
       if (config_->query_mode == QueryMode::kFlood) {
         FloodQuery(QueryBody{q.guid, config_->flood_ttl, 0, q.text},
@@ -446,15 +430,6 @@ void GnutellaNode::HandleMessage(sim::HostId from, const sim::Message& msg) {
                          kMsgCrawlReply, "gnutella.crawl",
                          16 + 6 * info.ultrapeer_neighbors.size(),
                          CrawlReplyBody{req.req_id, std::move(info)}));
-      return;
-    }
-    case kMsgCrawlReply: {
-      const auto& reply = msg.as<CrawlReplyBody>();
-      auto it = pending_crawls_.find(reply.req_id);
-      if (it == pending_crawls_.end()) return;
-      CrawlCallback cb = std::move(it->second);
-      pending_crawls_.erase(it);
-      cb(Status::OK(), reply.info);
       return;
     }
     default:

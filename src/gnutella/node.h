@@ -12,8 +12,8 @@
 //
 // Per-hop state is flat: duplicate suppression and the reverse path share
 // one GuidTable (open addressing, load <= 1/2, one probe per lookup) whose
-// eviction is FIFO in remember order past guid_route_capacity, exactly as
-// a deque of remembered GUIDs would evict; the local match probes each
+// eviction is FIFO in remember order past its 65536-GUID capacity, exactly
+// as a deque of remembered GUIDs would evict; the local match probes each
 // query term once in the KeywordIndex term table; and a flood hop builds
 // one message whose immutable body every neighbor's copy shares.
 #pragma once
@@ -38,16 +38,12 @@ class GnutellaNode : public sim::Host {
  public:
   /// Receives each query-hit batch for a locally issued query.
   using ResultCallback = std::function<void(const std::vector<QueryResult>&)>;
-  /// Observes queries this node processes (own, leaf-issued or forwarded).
-  using QueryObserver =
-      std::function<void(Guid, const std::string& text, sim::HostId from)>;
   /// Observes query-hit batches this node delivers or forwards, with the
   /// running result count for that GUID (the hybrid proxy's snooping hook).
   using HitObserver = std::function<void(Guid, const std::vector<QueryResult>&,
                                          size_t results_so_far)>;
   using BrowseCallback =
       std::function<void(Status, std::vector<SharedFile>)>;
-  using CrawlCallback = std::function<void(Status, CrawlInfo)>;
 
   GnutellaNode(sim::Network* network, Role role, const GnutellaConfig* config,
                GnutellaMetrics* metrics, uint64_t seed);
@@ -61,7 +57,6 @@ class GnutellaNode : public sim::Host {
   /// Replaces this node's shared files; file ids are assigned here.
   void SetSharedFiles(std::vector<std::string> filenames,
                       std::vector<uint64_t> sizes = {});
-  const std::vector<SharedFile>& shared_files() const { return files_; }
 
   // --- Topology wiring (used by TopologyBuilder) ---------------------------
 
@@ -101,17 +96,12 @@ class GnutellaNode : public sim::Host {
 
   // --- Auxiliary protocol APIs ---------------------------------------------
 
-  /// Fetches the files shared by `target` (Gnutella BrowseHost).
+  /// Fetches the files shared by `target` (Gnutella BrowseHost). Every node
+  /// also answers gnutella::Crawler's neighbor-list requests.
   void BrowseHost(sim::HostId target, BrowseCallback callback);
-
-  /// Asks `target` for its neighbor list (crawler support).
-  void CrawlPeer(sim::HostId target, CrawlCallback callback);
 
   // --- Hybrid integration hooks ---------------------------------------------
 
-  void SetQueryObserver(QueryObserver observer) {
-    query_observer_ = std::move(observer);
-  }
   void SetHitObserver(HitObserver observer) {
     hit_observer_ = std::move(observer);
   }
@@ -200,7 +190,7 @@ class GnutellaNode : public sim::Host {
 
   // Every GUID this node has processed, with the hop its query came from
   // (kInvalidHost for queries rooted here): duplicate suppression and the
-  // reverse path for hits. FIFO-evicted past guid_route_capacity.
+  // reverse path for hits. FIFO-evicted past its capacity.
   GuidTable guids_;
 
   std::unordered_map<Guid, LocalQuery> local_queries_;
@@ -208,9 +198,7 @@ class GnutellaNode : public sim::Host {
 
   uint64_t next_req_id_ = 1;
   std::unordered_map<uint64_t, BrowseCallback> pending_browses_;
-  std::unordered_map<uint64_t, CrawlCallback> pending_crawls_;
 
-  QueryObserver query_observer_;
   HitObserver hit_observer_;
 };
 

@@ -48,8 +48,9 @@ class GnutellaNetwork {
   GnutellaMetrics& metrics() { return metrics_; }
   const TopologyConfig& config() const { return config_; }
 
-  /// Re-publishes every leaf's library to its ultrapeers (after a bulk
-  /// SetSharedFiles pass) and reindexes ultrapeer libraries.
+  /// Re-sends every leaf's library to each of its ultrapeers, in leaf
+  /// order — the step after a bulk SetSharedFiles pass. Ultrapeers need no
+  /// step: SetSharedFiles already indexed their own libraries.
   void PublishAllFiles();
 
  private:

@@ -55,8 +55,6 @@ enum class QueryMode {
 
 /// Dynamic querying knobs (defaults follow LimeWire's published design).
 struct DynamicQueryConfig {
-  size_t probe_neighbors = 3;    ///< Neighbors probed in the first round.
-  uint8_t probe_ttl = 1;
   sim::SimTime probe_wait = 2400 * sim::kMillisecond;
   sim::SimTime per_neighbor_wait = 2400 * sim::kMillisecond;
   size_t desired_results = 150;  ///< Stop once this many results arrived.
@@ -83,9 +81,7 @@ struct GnutellaConfig {
   QueryMode query_mode = QueryMode::kFlood;
   uint8_t flood_ttl = 2;                 ///< TTL in kFlood mode.
   DynamicQueryConfig dynamic;
-  size_t guid_route_capacity = 1 << 16;  ///< Reverse-path table size cap.
   LeafPublishMode leaf_publish = LeafPublishMode::kFullList;
-  double qrp_fp_rate = 0.02;             ///< Bloom sizing in kBloomFilter.
 };
 
 /// Aggregate protocol counters for one simulated network. One instance is

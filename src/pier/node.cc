@@ -25,6 +25,13 @@ constexpr sim::SimTime kHedgeMinDelay = 50 * sim::kMillisecond;
 constexpr unsigned kHedgeDelayFactor = 3;
 constexpr sim::SimTime kHedgeMaxDelay = 500 * sim::kMillisecond;
 
+/// Every halving of a chunk stream's observed next-hop latency below this
+/// reference doubles its initial credit window (see CreditWindowChunks).
+constexpr sim::SimTime kCreditLatencyRef = 40 * sim::kMillisecond;
+/// A credit-starved chunk stream is dropped after this long without a
+/// grant (downstream owner presumed dead).
+constexpr sim::SimTime kCreditStallTimeout = 10 * sim::kSecond;
+
 dht::Key DhtKeyFor(const std::string& ns, const Value& key) {
   return HashCombine(Fnv1a64(ns), key.Hash());
 }
@@ -501,7 +508,7 @@ void PierNode::ExecuteStaged(std::shared_ptr<const StagedQuery> query,
   pending.query = std::move(query);
   pending.deadline = exec->now() + timeout;
   pending.failovers_left = batch_options_.stage_failover_budget;
-  pending.defers_left = batch_options_.admission_defer_budget;
+  pending.defers_left = kAdmissionDeferBudget;
   // Progress checks slice the deadline geometrically (the AttemptTimeout
   // pattern): with budget B the first check fires after timeout/(2^(B+1)-1)
   // and each re-dispatch doubles the next wait, so every failover still
@@ -811,7 +818,7 @@ size_t PierNode::CreditWindowChunks(dht::Key target) {
   if (load.smoothed_latency == 0) return base;
   size_t window = base;
   sim::SimTime lat = load.smoothed_latency;
-  while (lat * 2 <= batch_options_.credit_latency_ref &&
+  while (lat * 2 <= kCreditLatencyRef &&
          window < batch_options_.max_stage_credit_chunks) {
     lat *= 2;
     window = std::min(window * 2, batch_options_.max_stage_credit_chunks);
@@ -865,7 +872,7 @@ void PierNode::PumpStream(std::map<uint64_t, ChunkStream>::iterator it) {
   // owner cannot leak the stream forever.
   ++metrics_->credits_stalled;
   stream.stall_timer = dht_->network()->executor()->ScheduleAfter(dht_->host(), 
-      batch_options_.credit_stall_timeout, [this, stream_id]() {
+      kCreditStallTimeout, [this, stream_id]() {
         auto sit = chunk_streams_.find(stream_id);
         if (sit == chunk_streams_.end()) return;
         // The unsent chunks' weight never reaches the query node; its

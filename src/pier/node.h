@@ -125,11 +125,14 @@ struct PierMetrics {
 /// The initial window is seeded from the consumer's observed service rate:
 /// the producer probes the smoothed delivery latency toward the stage's
 /// next hop (sim::DestinationLoad's EWMA) and doubles the window for every
-/// halving of observed latency below `credit_latency_ref`, up to
+/// halving of observed latency below a 40 ms reference, up to
 /// `max_stage_credit_chunks` — fast owners earn deeper pipelines
 /// automatically. `stage_credit_chunks` stays the floor (slow or unmeasured
 /// paths never drop below it) and `max_stage_credit_chunks` the ceiling;
-/// setting the two equal pins a constant window.
+/// setting the two equal pins a constant window. A credit-starved stream is
+/// dropped after 10 s without a grant (downstream owner presumed dead); the
+/// join's own timeout then returns partial results, exactly as for any lost
+/// chunk.
 struct BatchOptions {
   size_t max_batch_tuples = 256;
   sim::SimTime flush_interval = 50 * sim::kMillisecond;
@@ -137,11 +140,6 @@ struct BatchOptions {
   size_t min_batch_tuples = 16;
   size_t stage_credit_chunks = 4;
   size_t max_stage_credit_chunks = 32;
-  sim::SimTime credit_latency_ref = 40 * sim::kMillisecond;
-  /// A credit-starved stream is dropped after this long without a grant
-  /// (downstream owner presumed dead); the join's own timeout then returns
-  /// partial results, exactly as for any lost chunk.
-  sim::SimTime credit_stall_timeout = 10 * sim::kSecond;
 
   // --- Fault-tolerant query plane ----------------------------------------
 
@@ -161,8 +159,8 @@ struct BatchOptions {
   // Stage-0 admission control at the stage owner: refuse plans whose
   // posting list (the entry volume the plan would scan and ship) exceeds a
   // pressure-scaled budget. Refusals carry a retry-after hint; the origin
-  // defers and retries within its deadline or resolves the query as an
-  // explicit labeled shed.
+  // defers and retries within its deadline, up to kAdmissionDeferBudget
+  // times, or resolves the query as an explicit labeled shed.
 
   /// In-flight messages at the owner below which every plan is admitted
   /// (an idle node never sheds).
@@ -173,9 +171,10 @@ struct BatchOptions {
   size_t admission_min_entries = 64;
   /// Base back-off hint attached to refusals (scaled by pressure level).
   sim::SimTime admission_retry_after = 200 * sim::kMillisecond;
-  /// Deferrals one query absorbs before a refusal becomes a shed.
-  size_t admission_defer_budget = 2;
 };
+
+/// Deferrals one query absorbs before an admission refusal becomes a shed.
+constexpr size_t kAdmissionDeferBudget = 2;
 
 /// Ack aggregate of one PublishBatch call (defined in node.cc).
 struct PublishAck;
@@ -219,7 +218,6 @@ class PierNode {
   void set_batch_options(const BatchOptions& options) {
     batch_options_ = options;
   }
-  const BatchOptions& batch_options() const { return batch_options_; }
 
   /// Tuples of `schema` stored locally under `key` (post hash-collision
   /// filtering on the key column).

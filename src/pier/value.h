@@ -42,7 +42,6 @@ class Value {
   explicit Value(int64_t v) : v_(v) {}
   explicit Value(double v) : v_(v) {}
   explicit Value(std::string v);
-  static Value OfString(std::string_view s) { return Value(std::string(s)); }
   /// A value referencing `len` bytes of `owner` at `off` — the arena path.
   static Value StringSlice(StringOwner owner, size_t off, size_t len);
 

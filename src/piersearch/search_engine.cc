@@ -74,7 +74,6 @@ void SearchEngine::Search(const std::string& query_text,
              pier::Completeness{});
     return;
   }
-  ++searches_started_;
   QueryPlan plan = BuildSearchPlan(terms, options);
   if (!options.order_by_posting_size || terms.size() == 1) {
     RunPlan(std::move(plan), options, std::move(callback));

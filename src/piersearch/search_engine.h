@@ -76,8 +76,6 @@ class SearchEngine {
   void Search(const std::string& query_text, const SearchOptions& options,
               SearchCallback callback);
 
-  uint64_t searches_started() const { return searches_started_; }
-
   /// Runs an already-built plan with the engine's hit mapping — the
   /// escape hatch for plan shapes the strategy enum cannot express.
   void RunPlan(pier::QueryPlan plan, const SearchOptions& options,
@@ -85,7 +83,6 @@ class SearchEngine {
 
  private:
   pier::PierNode* pier_;
-  uint64_t searches_started_ = 0;
 };
 
 }  // namespace pierstack::piersearch

@@ -26,25 +26,6 @@ constexpr uint64_t kSpikeSalt = 0x7370696b;  // "spik"
 
 }  // namespace
 
-void FaultPlan::AssignPartition(HostId host, uint32_t group) {
-  if (group == 0) {
-    partition_.erase(host);
-  } else {
-    partition_[host] = group;
-  }
-}
-
-void FaultPlan::Heal(uint32_t group) {
-  if (group == 0) return;
-  for (auto it = partition_.begin(); it != partition_.end();) {
-    if (it->second == group) {
-      it = partition_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 void FaultPlan::AddPartitionWindow(PartitionWindow window) {
   if (window.heal_time <= window.start || window.groups.empty()) return;
   windows_.push_back(std::move(window));
@@ -63,16 +44,6 @@ bool FaultPlan::CrossesSplit(const PartitionWindow& w, uint32_t from,
 bool FaultPlan::ShouldDrop(HostId from, HostId to, uint64_t send_seq,
                            SimTime now) {
   if (from == to) return false;
-  if (!partition_.empty()) {
-    auto g = [&](HostId h) {
-      auto it = partition_.find(h);
-      return it == partition_.end() ? uint32_t{0} : it->second;
-    };
-    if (g(from) != g(to)) {
-      ++counters_.partition_drops;
-      return true;
-    }
-  }
   // Timed splits: active purely by the sender's clock, so a window both
   // activates and heals without any driver event and the decision is
   // identical on every Executor backend.

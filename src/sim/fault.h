@@ -9,17 +9,17 @@
 //    sees nothing — a lost packet, not a refused connection),
 //  * latency spikes: with probability `spike_probability` a message is
 //    delayed by an extra `spike_delay` on top of the latency model,
-//  * partitions: hosts are assigned to groups; messages crossing a group
-//    boundary are silently dropped until Heal() — a network split, during
-//    which refused-send failure detection is blind and only proactive
-//    liveness probing notices the missing peers. Partitions are scriptable
-//    two ways: the imperative AssignPartition/Heal(group)/Heal() calls
-//    (driver/barrier context), and declarative PartitionWindows — timed
-//    splits that activate and heal purely by comparing each send's
-//    timestamp against the window, so a scheduled split needs no driver
-//    event at all and is identical on every Executor backend. A window may
-//    also be asymmetric (one-way): only the listed (from-group, to-group)
-//    directions drop, modeling a link that fails in one direction,
+//  * partitions: PartitionWindows assign hosts to groups for a scheduled
+//    interval; messages crossing a group boundary are silently dropped
+//    until the window's heal time — a network split, during which
+//    refused-send failure detection is blind and only proactive liveness
+//    probing notices the missing peers. A window activates and heals purely
+//    by comparing each send's timestamp against it, so a scheduled split
+//    needs no driver event at all and is identical on every Executor
+//    backend. Splits that heal one group at a time are windows with
+//    different heal times. A window may also be asymmetric (one-way): only
+//    the listed (from-group, to-group) directions drop, modeling a link
+//    that fails in one direction,
 //  * scheduled crash/join/restart churn: deterministic event schedules
 //    (flash-crowd join, correlated mass-leave, sustained events/min churn,
 //    crash-then-restart) built here and executed by an overlay-level
@@ -95,27 +95,12 @@ class FaultPlan {
 
   /// Per-message in-flight loss probability in [0, 1].
   void set_message_loss(double p) { message_loss_ = p; }
-  double message_loss() const { return message_loss_; }
 
   /// With probability `p`, a message is delayed by `extra` past the model.
   void set_latency_spike(double p, SimTime extra) {
     spike_probability_ = p;
     spike_delay_ = extra;
   }
-
-  /// Puts `host` into partition `group` (unassigned hosts are group 0).
-  /// Messages between different groups are silently dropped.
-  void AssignPartition(HostId host, uint32_t group);
-
-  /// Ends the partition: every host rejoins group 0.
-  void Heal() { partition_.clear(); }
-
-  /// Heals ONE side of a split: every host of `group` rejoins group 0,
-  /// other groups stay partitioned. Heal(0) is a no-op (group 0 is the
-  /// mainland).
-  void Heal(uint32_t group);
-
-  bool partitioned() const { return !partition_.empty(); }
 
   /// A scheduled network split: `groups` takes effect for sends whose
   /// timestamp falls in [start, heal_time) and heals by itself — no driver
@@ -132,15 +117,15 @@ class FaultPlan {
     std::vector<std::pair<uint32_t, uint32_t>> one_way;
   };
 
-  /// Schedules a partition window. Setup/driver context only (like
-  /// AssignPartition): mutate before the run or at barriers.
+  /// Schedules a partition window. Setup/driver context only: mutate
+  /// before the run or at barriers.
   void AddPartitionWindow(PartitionWindow window);
 
   /// Schedules a fail-slow window: every message addressed to `host` that
   /// is SENT during [start, start + duration) is delayed by an extra
   /// `extra` past the latency model — a straggling receiver, not a dead
   /// one. Windows are additive when they overlap. Setup/driver context
-  /// only (like AssignPartition): mutate before the run or at barriers.
+  /// only: mutate before the run or at barriers.
   void AddFailSlow(HostId host, SimTime start, SimTime duration,
                    SimTime extra);
 
@@ -202,7 +187,6 @@ class FaultPlan {
   double message_loss_ = 0.0;
   double spike_probability_ = 0.0;
   SimTime spike_delay_ = 0;
-  std::map<HostId, uint32_t> partition_;  ///< host → group; absent = 0.
   std::vector<PartitionWindow> windows_;  ///< Scheduled timed splits.
   /// One scheduled degradation interval for a fail-slow host.
   struct FailSlowWindow {

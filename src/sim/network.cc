@@ -21,6 +21,10 @@ uint64_t SendStreamKey(uint64_t seed, HostId from, HostId to, uint64_t seq) {
   return Mix(Mix(Mix(seed ^ from) ^ to) ^ seq);
 }
 
+/// Half-life of the idle decay applied to each destination's smoothed
+/// latency (see DestinationLoad).
+constexpr SimTime kLoadDecayHalfLife = 5 * kSecond;
+
 }  // namespace
 
 SimTime UniformLatency::Latency(HostId, HostId, size_t, Rng* rng) {
@@ -153,7 +157,7 @@ DestinationLoad Network::LoadOf(HostId id) const {
   // a holder re-decaying it later cannot double-count the pre-read idle
   // interval.
   l.smoothed_latency = DecayedLatency(
-      l.smoothed_latency, now - l.latency_updated_at, load_decay_half_life_);
+      l.smoothed_latency, now - l.latency_updated_at, kLoadDecayHalfLife);
   l.latency_updated_at = now;
   return l;
 }
@@ -192,25 +196,19 @@ void Network::SettleInFlight(HostId to, size_t bytes,
   // EWMA with 1/8 gain, seeded by the first (or post-idle) observation.
   SimTime history = DecayedLatency(l.smoothed_latency,
                                    now - l.latency_updated_at,
-                                   load_decay_half_life_);
+                                   kLoadDecayHalfLife);
   l.smoothed_latency =
       history == 0 ? observed_delay : (7 * history + observed_delay) / 8;
   l.latency_updated_at = now;
 }
 
-void Network::RemoveHost(HostId id) {
-  assert(id < hosts_.size());
-  hosts_[id] = nullptr;
-  up_[id] = false;
-}
-
 void Network::SetHostUp(HostId id, bool up) {
   assert(id < hosts_.size());
-  up_[id] = up && hosts_[id] != nullptr;
+  up_[id] = up;
 }
 
 bool Network::IsHostUp(HostId id) const {
-  return id < hosts_.size() && hosts_[id] != nullptr && up_[id];
+  return id < up_.size() && up_[id];
 }
 
 NetworkMetrics& Network::Slab() {

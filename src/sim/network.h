@@ -144,9 +144,9 @@ struct TrafficCounter {
 /// pacing to observed load instead of compile-time constants.
 ///
 /// The latency EWMA is time-decayed on read: while a destination sits idle
-/// the signal halves every `Network` decay half-life, so one historical
-/// burst cannot permanently bias adaptive flush, credit windows, or
-/// congestion-aware routing. A value decayed all the way to 0 reads as
+/// the signal halves every 5 s (a constant of the network), so one
+/// historical burst cannot permanently bias adaptive flush, credit windows,
+/// or congestion-aware routing. A value decayed all the way to 0 reads as
 /// "unmeasured" again, which every consumer treats conservatively.
 struct DestinationLoad {
   uint32_t in_flight_messages = 0;
@@ -185,10 +185,10 @@ struct NetworkMetrics {
 ///
 /// Thread-safety contract for parallel backends (sim/shard.h): Send /
 /// LoadOf / metric recording may be called concurrently from worker
-/// shards; topology mutations (AddHost, RemoveHost, SetHostUp,
-/// SetProcessingDelay) and metric exports (metrics(), Reset,
-/// ResetLoadWatermarks) are exclusive-context only — setup code, driver
-/// events at epoch barriers, or between runs.
+/// shards; topology mutations (AddHost, SetHostUp, SetProcessingDelay) and
+/// metric exports (metrics(), Reset, ResetLoadWatermarks) are
+/// exclusive-context only — setup code, driver events at epoch barriers,
+/// or between runs.
 class Network {
  public:
   /// `model` may be null, which means zero latency (pure dataflow tests —
@@ -197,14 +197,11 @@ class Network {
           uint64_t seed);
 
   /// Attaches a host; returns its id. The pointer must outlive the network
-  /// or be detached first.
+  /// (a host leaving for good is marked down instead).
   HostId AddHost(Host* host);
 
-  /// Detaches a host; later sends to it are counted as dropped.
-  void RemoveHost(HostId id);
-
-  /// Marks a host down (messages dropped) without forgetting it — models
-  /// churn where the node returns later.
+  /// Marks a host down (sends to it are refused and counted as dropped) or
+  /// back up — models crashes, departures and nodes that return later.
   void SetHostUp(HostId id, bool up);
   bool IsHostUp(HostId id) const;
 
@@ -215,15 +212,8 @@ class Network {
 
   /// Cheap per-destination pressure probe (see DestinationLoad). Returns a
   /// zero-value load for unknown hosts. The smoothed-latency signal is
-  /// returned time-decayed (see set_load_decay_half_life).
+  /// returned time-decayed.
   DestinationLoad LoadOf(HostId id) const;
-
-  /// Half-life of the idle decay applied to each destination's smoothed
-  /// latency (0 disables decay — the sticky pre-decay behavior).
-  void set_load_decay_half_life(SimTime half_life) {
-    load_decay_half_life_ = half_life;
-  }
-  SimTime load_decay_half_life() const { return load_decay_half_life_; }
 
   /// Quantizes LoadOf: probes read a snapshot published when a
   /// destination's signal first crosses a `quantum` boundary, not the live
@@ -235,7 +225,6 @@ class Network {
   void set_load_probe_quantum(SimTime quantum) {
     load_probe_quantum_ = quantum;
   }
-  SimTime load_probe_quantum() const { return load_probe_quantum_; }
 
   /// Resets every destination's peak_in_flight_bytes watermark to its
   /// current in-flight level (benches bracket a measured phase with this).
@@ -298,12 +287,11 @@ class Network {
   Executor* executor_;
   std::unique_ptr<LatencyModel> latency_;
   const uint64_t seed_;  ///< Root of the per-send latency streams.
-  std::vector<Host*> hosts_;    // index = HostId; null = removed
+  std::vector<Host*> hosts_;    // index = HostId
   std::vector<bool> up_;
   std::vector<SimTime> processing_delay_;  // index = HostId
   std::vector<uint64_t> send_seq_;         // index = sender; its stream clock
   std::vector<std::unique_ptr<LoadSlot>> loads_;  // index = HostId
-  SimTime load_decay_half_life_ = 5 * kSecond;
   SimTime load_probe_quantum_ = 0;
   /// One slab per worker shard plus one for driver context; folded into
   /// metrics_ on export.

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "dht/builder.h"
 #include "dht/chord.h"
@@ -161,15 +162,22 @@ TEST(ChurnTest, RingRepairsAfterCrash) {
     auto& chord = static_cast<ChordRouting&>(d.dht->node(i)->routing());
     EXPECT_NE(chord.successor().host, dead) << "node " << i;
   }
-  // Routing still works for keys formerly owned by the crashed node.
-  bool done = false;
-  d.dht->node(0)->Lookup(d.dht->node(4)->id(),
-                         [&](Status s, NodeInfo owner, uint32_t) {
-                           done = s.ok();
-                           EXPECT_NE(owner.host, dead);
-                         });
+  // Routing still works for keys formerly owned by the crashed node: a
+  // message routed to the dead node's id lands once, at a live node, and
+  // that node is the key's owner under the repaired ring.
+  constexpr int kProbeApp = kAppUserBase + 3;
+  std::vector<sim::HostId> landed;
+  for (size_t i = 0; i < d.dht->size(); ++i) {
+    d.dht->node(i)->SetUpcallHandler(kProbeApp, [&, i](const RouteMsg&) {
+      landed.push_back(d.dht->node(i)->host());
+    });
+  }
+  Key dead_id = d.dht->node(4)->id();
+  d.dht->node(0)->Route(dead_id, kProbeApp, nullptr, 0);
   d.Settle(10 * sim::kSecond);
-  EXPECT_TRUE(done);
+  ASSERT_EQ(landed.size(), 1u);
+  EXPECT_NE(landed[0], dead);
+  EXPECT_EQ(landed[0], d.dht->ExpectedOwner(dead_id)->host());
 }
 
 TEST(ChurnTest, StabilizationRunsContinuously) {

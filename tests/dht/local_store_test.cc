@@ -74,12 +74,12 @@ TEST(LocalStoreTest, ScanReturnsAllLiveInNamespace) {
   EXPECT_EQ(store.Scan("a", 20).size(), 2u);
 }
 
-TEST(LocalStoreTest, EraseRemovesAllUnderKey) {
+TEST(LocalStoreTest, ExtractingOneKeyRemovesAllUnderIt) {
   LocalStore store;
   store.Put("a", 1, Bytes("x"));
   store.Put("a", 1, Bytes("y"));
   store.Put("a", 2, Bytes("z"));
-  EXPECT_EQ(store.Erase("a", 1), 2u);
+  EXPECT_EQ(store.ExtractRange("a", 0, 1).size(), 2u);
   EXPECT_TRUE(store.Get("a", 1, 0).empty());
   EXPECT_EQ(store.Get("a", 2, 0).size(), 1u);
   EXPECT_EQ(store.TotalBytes(), 1u);
@@ -135,7 +135,7 @@ TEST(LocalStoreTest, TotalBytesTracksPayloadSizes) {
   store.Put("a", 1, Bytes("xxxx"));
   store.Put("a", 2, Bytes("yy"));
   EXPECT_EQ(store.TotalBytes(), 6u);
-  store.Erase("a", 1);
+  store.ExtractRange("a", 0, 1);
   EXPECT_EQ(store.TotalBytes(), 2u);
 }
 
@@ -203,11 +203,11 @@ TEST(LocalStoreImageCacheTest, ExpiryOfContainedEntrySelfInvalidates) {
   EXPECT_EQ((*rebuilt)[0], 1u);  // count prefix: one live entry left
 }
 
-TEST(LocalStoreImageCacheTest, EraseAndExtractInvalidate) {
+TEST(LocalStoreImageCacheTest, ExtractionsInvalidate) {
   LocalStore store;
   store.Put("inv", 7, Bytes("aa"));
   BatchImage before = store.GetBatch("inv", 7, 0);
-  store.Erase("inv", 7);
+  store.ExtractRange("inv", 6, 7);
   BatchImage gone = store.GetBatch("inv", 7, 0);
   EXPECT_EQ((*gone)[0], 0u);  // empty batch
 

@@ -105,17 +105,21 @@ TEST(DhtNodeTest, PutAckArrives) {
   EXPECT_TRUE(acked);
 }
 
-TEST(DhtNodeTest, LookupFindsExpectedOwner) {
+TEST(DhtNodeTest, RoutedMessageLandsAtExpectedOwner) {
   Deployment d(48);
+  constexpr int kProbeApp = kAppUserBase + 3;
   Key k = KeyForString("lookup-key");
-  NodeInfo found;
-  d.dht->node(11)->Lookup(k, [&](Status s, NodeInfo owner, uint32_t hops) {
-    ASSERT_TRUE(s.ok());
-    found = owner;
-    EXPECT_LE(hops, 48u);
-  });
+  std::vector<sim::HostId> landed;
+  for (size_t i = 0; i < d.dht->size(); ++i) {
+    d.dht->node(i)->SetUpcallHandler(kProbeApp, [&, i](const RouteMsg& m) {
+      landed.push_back(d.dht->node(i)->host());
+      EXPECT_LE(m.hops, 48u);
+    });
+  }
+  d.dht->node(11)->Route(k, kProbeApp, nullptr, 0);
   d.simulator.Run();
-  EXPECT_EQ(found.host, d.dht->ExpectedOwner(k)->host());
+  ASSERT_EQ(landed.size(), 1u);
+  EXPECT_EQ(landed[0], d.dht->ExpectedOwner(k)->host());
 }
 
 TEST(DhtNodeTest, RouteHopsAreLogarithmic) {
@@ -124,7 +128,7 @@ TEST(DhtNodeTest, RouteHopsAreLogarithmic) {
   for (int i = 0; i < 100; ++i) {
     Key k = rng.Next();
     size_t start = static_cast<size_t>(rng.NextBelow(256));
-    d.dht->node(start)->Lookup(k, [](Status, NodeInfo, uint32_t) {});
+    d.dht->node(start)->Get("ns", k, [](Status, auto) {});
   }
   d.simulator.Run();
   // mean hops should be around 0.5*log2(256) = 4.
@@ -221,7 +225,7 @@ TEST(DhtNodeTest, BambooRoutesLogarithmically) {
   Rng rng(6);
   for (int i = 0; i < 100; ++i) {
     d.dht->node(static_cast<size_t>(rng.NextBelow(256)))
-        ->Lookup(rng.Next(), [](Status, NodeInfo, uint32_t) {});
+        ->Get("ns", rng.Next(), [](Status, auto) {});
   }
   d.simulator.Run();
   EXPECT_LT(d.dht->metrics().MeanHops(), 4.0);  // ~log16(256) = 2

@@ -136,7 +136,7 @@ TEST(RingOracleTest, UnderReplicatedKeyTripsOnlyTheFloor) {
   // Drop ONE replica's copy: below the floor of 3, but not orphaned.
   for (size_t i = 0; i < d.dht->size(); ++i) {
     if (d.dht->node(i)->store().Has("ns", k, d.simulator.now())) {
-      d.dht->node(i)->store().Erase("ns", k);
+      d.dht->node(i)->store().ExtractRange("ns", k - 1, k);
       break;
     }
   }
@@ -156,7 +156,7 @@ TEST(RingOracleTest, OrphanedKeyTripsBothDataInvariants) {
   RingOracle oracle(d.dht.get());
   oracle.TrackKey("ns", k);
   for (size_t i = 0; i < d.dht->size(); ++i) {
-    d.dht->node(i)->store().Erase("ns", k);
+    d.dht->node(i)->store().ExtractRange("ns", k - 1, k);
   }
   RingOracleReport report = oracle.Check(d.simulator.now());
   // Total loss is partial loss too: the weaker floor and the alarm both

@@ -56,14 +56,9 @@ struct Deployment {
 
     // Load every node's library from the trace.
     for (size_t i = 0; i < 400; ++i) {
-      auto* node = gnutella->node(i);
-      node->SetSharedFiles(trace.FilenamesOfNode(i));
-      if (node->role() == gnutella::Role::kLeaf) {
-        for (sim::HostId up : node->parent_ultrapeers()) {
-          node->RepublishTo(up);
-        }
-      }
+      gnutella->node(i)->SetSharedFiles(trace.FilenamesOfNode(i));
     }
+    gnutella->PublishAllFiles();
 
     // All 80 ultrapeers are hybrid and share one DHT.
     dht = std::make_unique<dht::DhtDeployment>(network.get(), 80,

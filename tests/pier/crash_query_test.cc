@@ -104,7 +104,7 @@ TEST_P(CrashQueryTest, MultiGetResolvesAcrossMidFlightOwnerCrash) {
   c.simulator.ScheduleAfter(sim::kDriverHost, 2 * sim::kMillisecond,
                             [&] { first_owner->Crash(); });
 
-  sim::SimTime deadline = c.dht->options().get_timeout;
+  sim::SimTime deadline = dht::kGetTimeout;
   c.simulator.RunFor(deadline + 5 * sim::kSecond);
 
   ASSERT_TRUE(fired) << "MultiGet hung across the owner crash";

@@ -212,7 +212,6 @@ TEST(CreditFlowTest, AdaptiveWindowHoldsFloorTowardSlowOwner) {
   // backpressure contract (stalls at the base window) is preserved.
   BatchOptions adaptive = ChunkyOptions(2);
   adaptive.max_stage_credit_chunks = BatchOptions{}.max_stage_credit_chunks;
-  adaptive.credit_latency_ref = 40 * sim::kMillisecond;
   Cluster c(2, adaptive);
   auto [kw0, kw1] = DistinctOwnerKeywords(&c);
   // Slow the consumer BEFORE any traffic so the warmed EWMA reflects its
@@ -228,7 +227,6 @@ TEST(CreditFlowTest, AdaptiveWindowHoldsFloorTowardSlowOwner) {
 
 TEST(CreditFlowTest, StarvedStreamExpiresAndJoinTimesOutWithPartial) {
   BatchOptions opts = ChunkyOptions(2);
-  opts.credit_stall_timeout = 2 * sim::kSecond;
   // Pin the single-dispatch contract: with failover on, the no-progress
   // watchdog re-dispatches stage 0 and each retry expires its own stream.
   opts.stage_failover_budget = 0;

@@ -328,9 +328,9 @@ TEST(RobustnessTest, AdmissionControlShedsUnderPressureAndAdmitsWhenIdle) {
   EXPECT_TRUE(shed.completeness.shed);
   EXPECT_FALSE(shed.completeness.exact);
   EXPECT_GT(shed.completeness.retry_after, 0u);
-  EXPECT_EQ(shed.completeness.deferrals, opts.admission_defer_budget);
-  EXPECT_EQ(c.metrics.plans_shed, opts.admission_defer_budget + 1);
-  EXPECT_EQ(c.metrics.plans_deferred, opts.admission_defer_budget);
+  EXPECT_EQ(shed.completeness.deferrals, kAdmissionDeferBudget);
+  EXPECT_EQ(c.metrics.plans_shed, kAdmissionDeferBudget + 1);
+  EXPECT_EQ(c.metrics.plans_deferred, kAdmissionDeferBudget);
   // A shed is a labeled partial: counted exactly once.
   EXPECT_EQ(c.metrics.partial_results, 1u);
   // The shed query never failed a stage — it never started one.

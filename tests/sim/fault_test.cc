@@ -90,8 +90,11 @@ TEST_F(FaultTest, PartitionDropsCrossGroupTrafficUntilHeal) {
   HostId ha = net.AddHost(&a);
   HostId hb = net.AddHost(&b);
   HostId hc = net.AddHost(&c);
-  plan.AssignPartition(hc, 1);  // a, b stay in group 0
-  EXPECT_TRUE(plan.partitioned());
+  FaultPlan::PartitionWindow w;
+  w.groups[hc] = 1;  // a, b stay in group 0
+  w.start = 0;
+  w.heal_time = kSecond;
+  plan.AddPartitionWindow(w);
 
   net.Send(ha, hb, Msg("same-side"));
   net.Send(ha, hc, Msg("cross"));
@@ -103,9 +106,8 @@ TEST_F(FaultTest, PartitionDropsCrossGroupTrafficUntilHeal) {
   EXPECT_TRUE(a.received.empty());
   EXPECT_EQ(plan.counters().partition_drops, 2u);
 
-  plan.Heal();
-  EXPECT_FALSE(plan.partitioned());
-  net.Send(ha, hc, Msg("after-heal"));
+  sim.ScheduleAt(kDriverHost, kSecond,
+                 [&] { net.Send(ha, hc, Msg("after-heal")); });
   sim.Run();
   EXPECT_EQ(c.received.size(), 1u);
 }
@@ -334,8 +336,6 @@ TEST_F(FaultTest, PartitionWindowDropsOnlyInsideItsSchedule) {
   EXPECT_EQ(b.received[0].second, "before");
   EXPECT_EQ(b.received[1].second, "healed");
   EXPECT_EQ(plan.counters().partition_drops, 1u);
-  // Scheduled windows never flip the static partitioned() flag.
-  EXPECT_FALSE(plan.partitioned());
 }
 
 TEST_F(FaultTest, PerGroupHealReleasesOnlyThatGroup) {
@@ -346,22 +346,35 @@ TEST_F(FaultTest, PerGroupHealReleasesOnlyThatGroup) {
   HostId ha = net.AddHost(&a);
   HostId hb = net.AddHost(&b);
   HostId hc = net.AddHost(&c);
-  plan.AssignPartition(hb, 1);
-  plan.AssignPartition(hc, 2);
+  // Two splits side by side: b's heals first, c's later.
+  FaultPlan::PartitionWindow b_split;
+  b_split.groups[hb] = 1;
+  b_split.heal_time = kSecond;
+  plan.AddPartitionWindow(b_split);
+  FaultPlan::PartitionWindow c_split;
+  c_split.groups[hc] = 2;
+  c_split.heal_time = 2 * kSecond;
+  plan.AddPartitionWindow(c_split);
 
-  plan.Heal(1);  // b rejoins the majority; c stays cut off
-  EXPECT_TRUE(plan.partitioned());
-  net.Send(ha, hb, Msg("rejoined"));
-  net.Send(ha, hc, Msg("still-cut"));
+  net.Send(ha, hb, Msg("cut"));
+  sim.Run();
+  EXPECT_TRUE(b.received.empty());
+
+  // b rejoins the majority; c stays cut off.
+  sim.ScheduleAt(kDriverHost, kSecond, [&] {
+    net.Send(ha, hb, Msg("rejoined"));
+    net.Send(ha, hc, Msg("still-cut"));
+  });
   sim.Run();
   EXPECT_EQ(b.received.size(), 1u);
   EXPECT_TRUE(c.received.empty());
 
-  plan.Heal();  // heal-all still works
-  EXPECT_FALSE(plan.partitioned());
-  net.Send(ha, hc, Msg("all-healed"));
+  // Later everything flows.
+  sim.ScheduleAt(kDriverHost, 2 * kSecond,
+                 [&] { net.Send(ha, hc, Msg("all-healed")); });
   sim.Run();
   EXPECT_EQ(c.received.size(), 1u);
+  EXPECT_EQ(plan.counters().partition_drops, 2u);
 }
 
 TEST_F(FaultTest, OneWayPartitionWindowIsAsymmetric) {
