@@ -2,7 +2,9 @@
 """A/B-compares two commits on one perfbench workload.
 
     scripts/ab_perfbench.py --base <rev> [--change <rev>] \\
-        --workload hybrid_flood --pairs 5 [--seed 1]
+        --workload hybrid_flood --pairs 5 [--seed 1] [--seconds S]
+    scripts/ab_perfbench.py --base <rev> [--change <rev>] \\
+        --workload hybrid_flood --traced [--seed 1] [--seconds S]
 
 Exports both revisions with `git archive` into their own temporary
 directories (no network), then runs `perfbench/run.py --trace 0` in each
@@ -16,6 +18,22 @@ the metric's "better" direction), the spread of the base runs
 Exits non-zero if any run fails or reports an incorrect answer, if the
 trees differ in `failed`, or if any simulated-clock metric differs between
 them — those are seeded results, not timings, and must match exactly.
+
+--seconds S runs each workload for S seconds instead of BENCHMARK.json's
+run_seconds, for quick local pairs; a claim is judged at run_seconds.
+
+--traced replaces the timed pairs with one `--trace 1` run per tree and
+compares every per-layer metric of BENCHMARK.json. Wall-clock metrics
+(units s, us and ns/tuple, plus sim.run_share and shard.parallel_eff) are
+printed but exempt, and so are the two high-water marks sim.pending_max
+and net.inflight_peak_bytes: the sharded backend samples them while its
+workers run, so they move with the thread schedule (three traced runs of
+one tree on dht_churn_sharded read net.inflight_peak_bytes 1272, 1272 and
+1259). Every other metric (sim.events, net.tag.*, dht.hops_per_route,
+trace.spans, ...) is a count or ratio of the seeded simulation and must
+match exactly. Exits non-zero on any difference or a failed run:
+"simulated behaviour unchanged" as one command. A traced run lasts at
+least three reps whatever S is, so --seconds 1 is enough.
 """
 
 import argparse
@@ -33,6 +51,13 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIM_METRICS = ("query_p50_ms", "query_p99_ms", "recall", "bytes_per_query",
                "bytes_per_publish")
 
+# Per-layer metrics read off the wall clock; --traced does not compare them.
+WALL_UNITS = ("s", "us", "ns/tuple")
+WALL_METRICS = ("sim.run_share", "shard.parallel_eff")
+# Peaks that follow the thread schedule on the sharded backend; --traced
+# prints them but does not compare them either.
+SCHEDULE_PEAKS = ("sim.pending_max", "net.inflight_peak_bytes")
+
 
 def log(msg):
     print(msg, file=sys.stderr, flush=True)
@@ -46,10 +71,10 @@ def export(rev, dest):
                    check=True)
 
 
-def run_once(tree, args, seconds):
+def run_once(tree, args, seconds, trace=0):
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(seconds),
-           "--trace", "0"]
+           "--trace", str(trace)]
     # run.py builds into $CARGO_TARGET_DIR when it is set; pin it to the
     # tree so the two trees never share a build.
     env = dict(os.environ,
@@ -76,9 +101,17 @@ def main():
     ap.add_argument("--base", required=True, help="revision to compare against")
     ap.add_argument("--change", default="HEAD", help="revision under test")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--pairs", type=int,
+                    help="timed pairs to run (required without --traced)")
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seconds", type=float,
+                    help="seconds per run (default: BENCHMARK.json's "
+                         "run_seconds)")
+    ap.add_argument("--traced", action="store_true",
+                    help="compare one --trace 1 run per tree instead")
     args = ap.parse_args()
+    if not args.traced and not args.pairs:
+        ap.error("--pairs is required unless --traced is given")
 
     with open(os.path.join(REPO, "BENCHMARK.json")) as f:
         spec = json.load(f)
@@ -90,7 +123,10 @@ def main():
         for side, rev in (("base", args.base), ("change", args.change)):
             log("ab: exporting %s (%s) to %s" % (side, rev, trees[side]))
             export(rev, trees[side])
-        return compare(args, spec["end_to_end"], spec["run_seconds"], trees)
+        seconds = args.seconds or spec["run_seconds"]
+        if args.traced:
+            return compare_traced(args, spec["per_layer"], seconds, trees)
+        return compare(args, spec["end_to_end"], seconds, trees)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -145,6 +181,47 @@ def compare(args, metrics, seconds, trees):
         log("ab: failed counts differ between runs")
         ok = False
     return 0 if ok else 1
+
+
+def compare_traced(args, metrics, seconds, trees):
+    results = {}
+    for side in ("base", "change"):
+        rc, result = run_once(trees[side], args, seconds, trace=1)
+        if rc != 0 or result is None or not result.get("correct"):
+            log("ab: traced %s run failed (exit %d)" % (side, rc))
+            return 1
+        results[side] = result
+
+    print("workload %s, seed %d, one traced run per tree, %g s" %
+          (args.workload, args.seed, seconds))
+    header = "%-34s %-10s %16s %16s  %s" % ("metric", "unit", "base",
+                                            "change", "check")
+    print(header)
+    print("-" * len(header))
+    differ = []
+    for m in metrics:
+        name = m["name"]
+        base = results["base"]["metrics"][name]["value"]
+        change = results["change"]["metrics"][name]["value"]
+        if m["unit"] in WALL_UNITS or name in WALL_METRICS:
+            check = "wall clock"
+        elif name in SCHEDULE_PEAKS:
+            check = "peak, not compared"
+        elif base == change:
+            check = "same"
+        else:
+            check = "DIFFERS"
+            differ.append(name)
+        print("%-34s %-10s %16.10g %16.10g  %s" % (name, m["unit"], base,
+                                                   change, check))
+    failed = [results[side]["failed"] for side in ("base", "change")]
+    print("failed: base %d, change %d" % tuple(failed))
+    if failed[0] != failed[1]:
+        differ.append("failed")
+    if differ:
+        log("ab: deterministic metrics differ: " + ", ".join(differ))
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

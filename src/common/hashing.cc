@@ -46,14 +46,4 @@ uint64_t FileId(std::string_view filename, uint64_t size_bytes,
   return h;
 }
 
-std::string HashToHex(uint64_t h) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<size_t>(i)] = kDigits[h & 0xf];
-    h >>= 4;
-  }
-  return out;
-}
-
 }  // namespace pierstack

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 namespace pierstack {
@@ -22,9 +21,6 @@ uint64_t Mix64(uint64_t x);
 
 /// Combines two 64-bit hashes (boost::hash_combine style, 64-bit constants).
 uint64_t HashCombine(uint64_t a, uint64_t b);
-
-/// Formats a 64-bit hash as fixed-width hex, e.g. "00c0ffee00c0ffee".
-std::string HashToHex(uint64_t h);
 
 /// Canonical file identifier: hash of (filename, size, owner address).
 /// Shared by the Gnutella layer and PIERSearch so the hybrid system can

@@ -105,7 +105,7 @@ NodeInfo ChordRouting::NextHop(Key target) const {
       best_dist = d;
     }
   };
-  for (const auto& f : fingers_) consider(f);
+  ForEachDistinctFinger(consider);
   for (const auto& s : successors_) consider(s);
   return best;
 }
@@ -117,7 +117,7 @@ void ChordRouting::AppendProgressCandidates(Key target,
     if (!InOpenOpen(self_.id, target, cand.id)) return;
     out->push_back(cand);
   };
-  for (const auto& f : fingers_) consider(f);
+  ForEachDistinctFinger(consider);
   for (const auto& s : successors_) consider(s);
 }
 

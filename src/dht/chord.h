@@ -97,6 +97,18 @@ class ChordRouting : public RoutingTable {
   static constexpr sim::HostId kInvalidHostSentinel = UINT32_MAX;
 
   MembershipSnapshot TakeSnapshot() const;
+
+  /// Calls `fn` once per run of adjacent identical fingers. In a ring of N
+  /// nodes about 64 - log2(N) low fingers all name the immediate successor;
+  /// a second visit of the same entry can change no pick, so routing
+  /// visits each run once.
+  template <typename Fn>
+  void ForEachDistinctFinger(Fn&& fn) const {
+    for (size_t i = 0; i < kNumFingers; ++i) {
+      if (i == 0 || !(fingers_[i] == fingers_[i - 1])) fn(fingers_[i]);
+    }
+  }
+
   /// Compares the post-mutation state to `before` and fires the listener
   /// on a real change.
   void NotifyIfChanged(const MembershipSnapshot& before);

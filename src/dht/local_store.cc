@@ -14,22 +14,22 @@ bool AliveFn(const StoredValue& v, sim::SimTime now) {
   return v.expiry == 0 || v.expiry > now;
 }
 
-/// Emits a TupleBatch image (count prefix + concatenated frames) from the
-/// live entries a range walk yields.
-template <typename It>
-std::vector<uint8_t> AssembleImage(It lo, It hi, sim::SimTime now) {
+/// Emits a TupleBatch image (count prefix + concatenated frames) from a
+/// key's live values.
+std::vector<uint8_t> AssembleImage(const std::vector<StoredValue>& values,
+                                   sim::SimTime now) {
   size_t count = 0, bytes = 0;
-  for (It it = lo; it != hi; ++it) {
-    if (!AliveFn(it->second, now)) continue;
+  for (const StoredValue& v : values) {
+    if (!AliveFn(v, now)) continue;
     ++count;
-    bytes += it->second.value.size();
+    bytes += v.value.size();
   }
   BytesWriter w;
   w.Reserve(VarintSize(count) + bytes);
   w.PutVarint(count);
-  for (It it = lo; it != hi; ++it) {
-    if (!AliveFn(it->second, now)) continue;
-    w.PutBytes(it->second.value.data(), it->second.value.size());
+  for (const StoredValue& v : values) {
+    if (!AliveFn(v, now)) continue;
+    w.PutBytes(v.value.data(), v.value.size());
   }
   return w.Take();
 }
@@ -87,40 +87,53 @@ void LocalStore::EvictImagesForSpace(NamespaceCache* cache, size_t needed) {
 bool LocalStore::Put(const std::string& ns, Key key,
                      std::vector<uint8_t> value, sim::SimTime expiry) {
   InvalidateImage(ns, key);
-  auto& space = spaces_[ns];
-  auto [lo, hi] = space.equal_range(key);
-  for (auto it = lo; it != hi; ++it) {
-    if (it->second.value == value) {
+  std::vector<StoredValue>& values = spaces_[ns][key];
+  for (StoredValue& v : values) {
+    if (v.value == value) {
       // Re-publish: refresh soft state.
-      it->second.expiry = expiry;
+      v.expiry = expiry;
       return false;
     }
   }
   total_bytes_ += value.size();
-  space.emplace(key, StoredValue{key, std::move(value), expiry});
+  values.push_back(StoredValue{key, std::move(value), expiry});
   return true;
+}
+
+const std::vector<StoredValue>* LocalStore::Values(const std::string& ns,
+                                                   Key key) const {
+  auto sit = spaces_.find(ns);
+  if (sit == spaces_.end()) return nullptr;
+  auto kit = sit->second.find(key);
+  return kit == sit->second.end() ? nullptr : &kit->second;
 }
 
 std::vector<const StoredValue*> LocalStore::Get(const std::string& ns, Key key,
                                                 sim::SimTime now) const {
   std::vector<const StoredValue*> out;
-  auto sit = spaces_.find(ns);
-  if (sit == spaces_.end()) return out;
-  auto [lo, hi] = sit->second.equal_range(key);
-  for (auto it = lo; it != hi; ++it) {
-    if (Alive(it->second, now)) out.push_back(&it->second);
+  const std::vector<StoredValue>* values = Values(ns, key);
+  if (values == nullptr) return out;
+  out.reserve(values->size());
+  for (const StoredValue& v : *values) {
+    if (Alive(v, now)) out.push_back(&v);
   }
   return out;
 }
 
+size_t LocalStore::Count(const std::string& ns, Key key,
+                         sim::SimTime now) const {
+  const std::vector<StoredValue>* values = Values(ns, key);
+  if (values == nullptr) return 0;
+  return static_cast<size_t>(
+      std::count_if(values->begin(), values->end(),
+                    [now](const StoredValue& v) { return Alive(v, now); }));
+}
+
 bool LocalStore::Has(const std::string& ns, Key key, sim::SimTime now) const {
-  auto sit = spaces_.find(ns);
-  if (sit == spaces_.end()) return false;
-  auto [lo, hi] = sit->second.equal_range(key);
-  for (auto it = lo; it != hi; ++it) {
-    if (Alive(it->second, now)) return true;
-  }
-  return false;
+  const std::vector<StoredValue>* values = Values(ns, key);
+  return values != nullptr &&
+         std::any_of(values->begin(), values->end(),
+                     [now](const StoredValue& v) { return Alive(v, now); });
 }
 
 std::vector<const StoredValue*> LocalStore::Scan(const std::string& ns,
@@ -128,9 +141,10 @@ std::vector<const StoredValue*> LocalStore::Scan(const std::string& ns,
   std::vector<const StoredValue*> out;
   auto sit = spaces_.find(ns);
   if (sit == spaces_.end()) return out;
-  out.reserve(sit->second.size());
-  for (const auto& [k, v] : sit->second) {
-    if (Alive(v, now)) out.push_back(&v);
+  for (const auto& [k, values] : sit->second) {
+    for (const StoredValue& v : values) {
+      if (Alive(v, now)) out.push_back(&v);
+    }
   }
   return out;
 }
@@ -157,17 +171,20 @@ BatchImage LocalStore::GetBatch(const std::string& ns, Key key,
   // Probes of never-stored namespaces must not grow the cache map.
   auto sit = spaces_.find(ns);
   if (sit == spaces_.end()) return EmptyImage();
-  auto [lo, hi] = sit->second.equal_range(key);
+  // A stored namespace caches the empty image of an unstored key too.
+  const std::vector<StoredValue> none;
+  auto kit = sit->second.find(key);
+  const std::vector<StoredValue>& values =
+      kit == sit->second.end() ? none : kit->second;
   sim::SimTime valid_until = 0;
-  for (auto it = lo; it != hi; ++it) {
-    if (!Alive(it->second, now)) continue;
-    if (it->second.expiry != 0 &&
-        (valid_until == 0 || it->second.expiry < valid_until)) {
-      valid_until = it->second.expiry;
+  for (const StoredValue& v : values) {
+    if (!Alive(v, now)) continue;
+    if (v.expiry != 0 && (valid_until == 0 || v.expiry < valid_until)) {
+      valid_until = v.expiry;
     }
   }
   auto image = std::make_shared<const std::vector<uint8_t>>(
-      AssembleImage(lo, hi, now));
+      AssembleImage(values, now));
   // An image over the whole byte budget is served but never cached — one
   // giant posting list must not monopolize (or thrash) the cache.
   if (image->size() > max_image_bytes_per_ns_) return image;
@@ -189,11 +206,13 @@ std::vector<StoredValue> LocalStore::ExtractRange(const std::string& ns,
   std::vector<StoredValue> out;
   auto sit = spaces_.find(ns);
   if (sit == spaces_.end()) return out;
-  auto& space = sit->second;
+  Space& space = sit->second;
   for (auto it = space.begin(); it != space.end();) {
     if (InOpenClosed(from, to, it->first)) {
-      total_bytes_ -= it->second.value.size();
-      out.push_back(std::move(it->second));
+      for (StoredValue& v : it->second) {
+        total_bytes_ -= v.value.size();
+        out.push_back(std::move(v));
+      }
       it = space.erase(it);
     } else {
       ++it;
@@ -217,12 +236,11 @@ uint64_t ValueHash(const StoredValue& v) {
 LocalStore::KeyDigest LocalStore::DigestKey(const std::string& ns, Key key,
                                             sim::SimTime now) const {
   KeyDigest d;
-  auto sit = spaces_.find(ns);
-  if (sit == spaces_.end()) return d;
-  auto [lo, hi] = sit->second.equal_range(key);
-  for (auto it = lo; it != hi; ++it) {
-    if (!Alive(it->second, now)) continue;
-    d.hash += ValueHash(it->second);
+  const std::vector<StoredValue>* values = Values(ns, key);
+  if (values == nullptr) return d;
+  for (const StoredValue& v : *values) {
+    if (!Alive(v, now)) continue;
+    d.hash += ValueHash(v);
     ++d.count;
   }
   return d;
@@ -235,12 +253,15 @@ std::map<Key, LocalStore::KeyDigest> LocalStore::DigestRange(
   if (sit == spaces_.end()) return out;
   // Full walk, like ExtractRange: the (from, to] arc may wrap the ring, so
   // the membership test does the work rather than iterator bounds.
-  for (const auto& [k, v] : sit->second) {
+  for (const auto& [k, values] : sit->second) {
     if (!InOpenClosed(from, to, k)) continue;
-    if (!Alive(v, now)) continue;
-    KeyDigest& d = out[k];
-    d.hash += ValueHash(v);
-    ++d.count;
+    KeyDigest d;
+    for (const StoredValue& v : values) {
+      if (!Alive(v, now)) continue;
+      d.hash += ValueHash(v);
+      ++d.count;
+    }
+    if (d.count > 0) out.emplace_hint(out.end(), k, d);
   }
   return out;
 }
@@ -250,10 +271,11 @@ std::vector<StoredValue> LocalStore::ExtractAll(const std::string& ns) {
   std::vector<StoredValue> out;
   auto sit = spaces_.find(ns);
   if (sit == spaces_.end()) return out;
-  out.reserve(sit->second.size());
-  for (auto& [k, v] : sit->second) {
-    total_bytes_ -= v.value.size();
-    out.push_back(std::move(v));
+  for (auto& [k, values] : sit->second) {
+    for (StoredValue& v : values) {
+      total_bytes_ -= v.value.size();
+      out.push_back(std::move(v));
+    }
   }
   sit->second.clear();
   return out;
@@ -273,13 +295,18 @@ size_t LocalStore::PurgeExpired(sim::SimTime now) {
   size_t dropped = 0;
   for (auto& [ns, space] : spaces_) {
     for (auto it = space.begin(); it != space.end();) {
-      if (!Alive(it->second, now)) {
-        total_bytes_ -= it->second.value.size();
-        it = space.erase(it);
+      std::vector<StoredValue>& values = it->second;
+      for (const StoredValue& v : values) {
+        if (Alive(v, now)) continue;
+        total_bytes_ -= v.value.size();
         ++dropped;
-      } else {
-        ++it;
       }
+      values.erase(std::remove_if(values.begin(), values.end(),
+                                  [now](const StoredValue& v) {
+                                    return !Alive(v, now);
+                                  }),
+                   values.end());
+      it = values.empty() ? space.erase(it) : ++it;
     }
   }
   return dropped;
@@ -288,8 +315,10 @@ size_t LocalStore::PurgeExpired(sim::SimTime now) {
 size_t LocalStore::TotalEntries(sim::SimTime now) const {
   size_t n = 0;
   for (const auto& [ns, space] : spaces_) {
-    for (const auto& [k, v] : space) {
-      if (Alive(v, now)) ++n;
+    for (const auto& [k, values] : space) {
+      for (const StoredValue& v : values) {
+        if (Alive(v, now)) ++n;
+      }
     }
   }
   return n;

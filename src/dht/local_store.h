@@ -1,13 +1,17 @@
-// Per-node DHT storage: a namespaced soft-state multimap.
+// Per-node DHT storage: namespaced soft state, each key's values in one
+// vector.
 //
 // PIER stores every tuple in the DHT (Section 2 of the paper); this is the
 // node-local slice of that storage. Values are opaque byte strings plus the
 // ring key they were published under; entries may carry an expiry time
-// (soft state). Every read hides expired entries, but nothing reclaims
-// them: PurgeExpired is the only path that frees them and no layer
-// schedules it, so expired entries stay in memory (and in TotalBytes)
-// until a handover extracts them. No workload here publishes with an
-// expiry.
+// (soft state). Each namespace maps a key to the vector of its values in
+// insertion order, in a std::map so range walks visit keys in ascending
+// order; a posting list of n entries is one contiguous vector, and a key
+// whose last value leaves is erased, never kept as an empty vector. Every
+// read hides expired entries, but nothing reclaims them: PurgeExpired is
+// the only path that frees them and no layer schedules it, so expired
+// entries stay in memory (and in TotalBytes) until a handover extracts
+// them. No workload here publishes with an expiry.
 //
 // Batched reads hand out shared immutable TupleBatch images. Hot posting
 // lists are probed far more often than they change, so the assembled image
@@ -60,15 +64,23 @@ class LocalStore {
   bool Put(const std::string& ns, Key key, std::vector<uint8_t> value,
            sim::SimTime expiry = 0);
 
-  /// All live values stored under (ns, key).
+  /// All live values stored under (ns, key), in insertion order. The
+  /// pointers stay valid only until the next mutation of the store (Put,
+  /// an extraction or a purge): a Put may grow and so move the key's value
+  /// vector. Callers copy what they need before storing anything.
   std::vector<const StoredValue*> Get(const std::string& ns, Key key,
                                       sim::SimTime now) const;
+
+  /// Number of live values stored under (ns, key) — what Get(...).size()
+  /// would return, without building the pointer vector.
+  size_t Count(const std::string& ns, Key key, sim::SimTime now) const;
 
   /// True iff at least one live value is stored under (ns, key) — the
   /// allocation-free presence probe.
   bool Has(const std::string& ns, Key key, sim::SimTime now) const;
 
-  /// All live values in a namespace (local scan).
+  /// All live values in a namespace (local scan), in ascending key order
+  /// and insertion order within a key. Pointer lifetime as for Get.
   std::vector<const StoredValue*> Scan(const std::string& ns,
                                        sim::SimTime now) const;
 
@@ -171,8 +183,16 @@ class LocalStore {
   /// bytes fit under the per-namespace cap.
   void EvictImagesForSpace(NamespaceCache* cache, size_t needed);
 
-  // ns -> (key -> values). std::map on key so ExtractRange can walk ranges.
-  std::map<std::string, std::multimap<Key, StoredValue>> spaces_;
+  /// One namespace: key -> its values in insertion order, never empty.
+  /// std::map on key so range walks visit keys in ascending order.
+  using Space = std::map<Key, std::vector<StoredValue>>;
+
+  /// The values under (ns, key), expired ones included, or null when none
+  /// are stored.
+  const std::vector<StoredValue>* Values(const std::string& ns,
+                                         Key key) const;
+
+  std::map<std::string, Space> spaces_;
   std::map<std::string, NamespaceCache> image_cache_;
   ImageCacheStats cache_stats_;
   size_t total_bytes_ = 0;

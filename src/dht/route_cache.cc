@@ -1,6 +1,20 @@
 #include "dht/route_cache.h"
 
+#include <algorithm>
+
 namespace pierstack::dht {
+
+namespace {
+
+/// The first arc whose end is at or past `key` in plain key order (end()
+/// when none is; the caller wraps).
+template <typename Arcs>
+auto ArcLowerBound(Arcs& arcs, Key key) {
+  return std::lower_bound(arcs.begin(), arcs.end(), key,
+                          [](const auto& e, Key k) { return e.arc_end < k; });
+}
+
+}  // namespace
 
 NodeInfo RouteCache::Lookup(Key target) const {
   if (arcs_.empty()) return NodeInfo{};
@@ -8,64 +22,61 @@ NodeInfo RouteCache::Lookup(Key target) const {
   // probe a few successive arc ends so a stale exact-key entry sitting
   // inside a wider live arc doesn't mask it.
   constexpr int kProbes = 3;
-  auto it = arcs_.lower_bound(target);
-  for (int i = 0; i < kProbes; ++i) {
+  auto it = ArcLowerBound(arcs_, target);
+  for (int i = 0; i < kProbes; ++i, ++it) {
     if (it == arcs_.end()) it = arcs_.begin();
     // Stale-epoch entries are fenced, not returned: a fast path into a
     // pre-churn arc falls back to ring routing (the only path that is
     // correct while ownership is in motion).
-    if (it->second.epoch == epoch_ &&
-        InOpenClosed(it->second.arc_start, it->first, target)) {
-      return it->second.owner;
+    if (it->epoch == epoch_ &&
+        InOpenClosed(it->arc_start, it->arc_end, target)) {
+      return it->owner;
     }
-    ++it;
   }
   return NodeInfo{};
 }
 
 bool RouteCache::Teach(const OwnerHint& hint) {
   if (!hint.valid || !hint.owner.valid()) return false;
-  auto it = arcs_.find(hint.arc_end);
-  // A fenced entry being overwritten is expired knowledge, not a staleness
-  // signal — only a same-epoch replacement naming a different owner is.
-  bool replaced_other_owner = it != arcs_.end() &&
-                              it->second.epoch == epoch_ &&
-                              it->second.owner.host != hint.owner.host;
-  arcs_[hint.arc_end] = Entry{hint.arc_start, hint.owner, seq_++, epoch_};
+  Entry entry{hint.arc_end, hint.arc_start, hint.owner, seq_++, epoch_};
+  auto it = ArcLowerBound(arcs_, hint.arc_end);
+  if (it != arcs_.end() && it->arc_end == hint.arc_end) {
+    // A fenced entry being overwritten is expired knowledge, not a
+    // staleness signal — only a same-epoch replacement naming a different
+    // owner is.
+    bool replaced_other_owner =
+        it->epoch == epoch_ && it->owner.host != hint.owner.host;
+    *it = entry;
+    return replaced_other_owner;
+  }
+  arcs_.insert(it, entry);
   if (arcs_.size() > capacity_) {
     // Evict the oldest-taught arc. Linear scan: the cache is small and
     // eviction only runs past capacity.
-    auto oldest = arcs_.begin();
-    for (auto e = arcs_.begin(); e != arcs_.end(); ++e) {
-      if (e->second.seq < oldest->second.seq) oldest = e;
-    }
-    arcs_.erase(oldest);
+    arcs_.erase(std::min_element(
+        arcs_.begin(), arcs_.end(),
+        [](const Entry& a, const Entry& b) { return a.seq < b.seq; }));
   }
-  return replaced_other_owner;
+  return false;
 }
 
 size_t RouteCache::FenceEpoch() {
   ++epoch_;
-  size_t purged = 0;
-  for (auto it = arcs_.begin(); it != arcs_.end();) {
-    if (it->second.epoch != epoch_) {
-      it = arcs_.erase(it);
-      ++purged;
-    } else {
-      ++it;
-    }
-  }
-  return purged;
+  size_t before = arcs_.size();
+  arcs_.erase(std::remove_if(arcs_.begin(), arcs_.end(),
+                             [this](const Entry& e) {
+                               return e.epoch != epoch_;
+                             }),
+              arcs_.end());
+  return before - arcs_.size();
 }
 
 void RouteCache::ForgetHost(sim::HostId host) {
-  for (auto it = arcs_.begin(); it != arcs_.end();) {
-    if (it->second.owner.host == host) {
-      it = arcs_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  arcs_.erase(std::remove_if(arcs_.begin(), arcs_.end(),
+                             [host](const Entry& e) {
+                               return e.owner.host == host;
+                             }),
+              arcs_.end());
 }
 
 }  // namespace pierstack::dht

@@ -14,10 +14,14 @@
 // forwards it along the ring. Entries are invalidated by failed sends and
 // peer removal (churn), superseded by newer hints, and cleared wholesale
 // on membership epoch changes (static table rebuilds).
+//
+// The cache is one small vector of arcs sorted by arc end: a lookup is a
+// binary search plus at most three adjacent probes, a refresh rewrites its
+// entry in place, and a new arc is inserted at its bound.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <vector>
 
 #include "dht/id.h"
 
@@ -34,7 +38,7 @@ struct OwnerHint {
   bool valid = false;
 };
 
-/// Per-node learned owner map, keyed by arc end on the ring.
+/// Per-node learned owner map, sorted by arc end on the ring.
 class RouteCache {
  public:
   explicit RouteCache(size_t capacity = 256) : capacity_(capacity) {}
@@ -67,16 +71,18 @@ class RouteCache {
 
  private:
   struct Entry {
+    Key arc_end = 0;     ///< Sort key; unique within the cache.
     Key arc_start = 0;
     NodeInfo owner;
     uint64_t seq = 0;    ///< Insertion order; oldest evicted at capacity.
     uint64_t epoch = 0;  ///< Membership epoch the entry was taught under.
   };
 
-  /// arc end → entry. Lookup probes the first few arc ends clockwise of
-  /// the target, which finds the covering arc among disjoint (live) arcs
-  /// and tolerates stale exact-key entries layered inside a wider arc.
-  std::map<Key, Entry> arcs_;
+  /// Entries in ascending arc-end order. Lookup probes the first few arc
+  /// ends clockwise of the target, which finds the covering arc among
+  /// disjoint (live) arcs and tolerates stale exact-key entries layered
+  /// inside a wider arc.
+  std::vector<Entry> arcs_;
   size_t capacity_;
   uint64_t seq_ = 0;
   uint64_t epoch_ = 0;  ///< Current membership epoch; older entries fenced.

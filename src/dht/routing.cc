@@ -68,19 +68,22 @@ class CongestionAwarePolicy : public NextHopPolicy {
     NodeInfo best;
     double best_score = 0;
     Key best_dist = 0;
-    for (size_t i = 0; i < candidates_.size(); ++i) {
-      const NodeInfo& cand = candidates_[i];
+    seen_hosts_.clear();
+    for (const NodeInfo& cand : candidates_) {
       if (!cand.valid() || cand.host == classic.host) continue;
       // Candidates may repeat (fingers, successors and leaves overlap);
-      // probe each host once.
-      bool seen = false;
-      for (size_t j = 0; j < i && !seen; ++j) {
-        seen = candidates_[j].host == cand.host;
+      // a host's first occurrence stands for it.
+      if (std::find(seen_hosts_.begin(), seen_hosts_.end(), cand.host) !=
+          seen_hosts_.end()) {
+        continue;
       }
-      if (seen) continue;
+      seen_hosts_.push_back(cand.host);
       Key dist = table.RouteDistance(cand.id, target);
-      double score = static_cast<double>(DistanceBits(dist)) +
-                     CongestionPenaltyHops(probe(cand.host));
+      double bits = static_cast<double>(DistanceBits(dist));
+      // A penalty is never negative, so a candidate whose distance alone
+      // reaches the classic score can never be returned: skip its probe.
+      if (bits >= classic_score) continue;
+      double score = bits + CongestionPenaltyHops(probe(cand.host));
       // Deterministic tie-break: smaller remaining distance, then id.
       if (!best.valid() || score < best_score ||
           (score == best_score &&
@@ -116,9 +119,10 @@ class CongestionAwarePolicy : public NextHopPolicy {
     return hops;
   }
 
-  /// Scratch candidate buffer — Choose is on the per-message fast path and
-  /// must not allocate once warmed. Policies are per-node, single-threaded.
+  /// Scratch buffers — Choose is on the per-message fast path and must not
+  /// allocate once warmed. Policies are per-node, single-threaded.
   mutable std::vector<NodeInfo> candidates_;
+  mutable std::vector<sim::HostId> seen_hosts_;
 };
 
 }  // namespace

@@ -18,6 +18,11 @@
 //    backed-up hops. Every candidate makes strict progress in the
 //    overlay's own metric, so biased routing terminates and never loops;
 //    with no live load signal it degrades to the classic greedy pick.
+//    Candidate lists may repeat a peer; the policy takes each host's first
+//    occurrence and probes each distinct host at most once. It skips the
+//    probe of a candidate whose distance term alone reaches the classic
+//    pick's score: penalties are never negative, so that candidate could
+//    never be chosen, and the prune changes no decision.
 #pragma once
 
 #include <functional>
@@ -75,8 +80,9 @@ class RoutingTable {
   /// in this set — a Bamboo prefix hop can extend the shared prefix while
   /// being numerically farther than self — so policies must score the
   /// classic pick separately rather than expect it among the candidates.
-  /// Candidates may repeat (fingers and successors overlap); policies
-  /// dedupe by host.
+  /// Candidates may repeat (fingers and successors overlap, and one host
+  /// may even appear under two ids on a stale table); policies dedupe by
+  /// host, keeping each host's first occurrence.
   virtual void AppendProgressCandidates(Key target,
                                         std::vector<NodeInfo>* out) const = 0;
 

@@ -955,8 +955,7 @@ void PierNode::OnSizeProbe(const dht::RouteMsg& msg) {
   const auto& probe = msg.body<SizeProbeMsg>();
   dht::Key k = DhtKeyFor(probe.ns, probe.key);
   size_t n =
-      dht_->store().Get(probe.ns, k, dht_->network()->executor()->now())
-          .size();
+      dht_->store().Count(probe.ns, k, dht_->network()->executor()->now());
   DirectEnvelope env;
   env.subtype = kProbeReply;
   env.qid = probe.qid;

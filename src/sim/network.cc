@@ -25,6 +25,14 @@ uint64_t SendStreamKey(uint64_t seed, HostId from, HostId to, uint64_t seq) {
 /// latency (see DestinationLoad).
 constexpr SimTime kLoadDecayHalfLife = 5 * kSecond;
 
+/// `latency` halved once per elapsed kLoadDecayHalfLife.
+SimTime DecayedLatency(SimTime latency, SimTime elapsed) {
+  if (latency == 0) return latency;
+  SimTime halvings = elapsed / kLoadDecayHalfLife;
+  if (halvings >= 64) return 0;
+  return latency >> halvings;
+}
+
 }  // namespace
 
 SimTime UniformLatency::Latency(HostId, HostId, size_t, Rng* rng) {
@@ -62,13 +70,6 @@ SimTime CoordinateLatency::Latency(HostId from, HostId to, size_t bytes,
   }
   delay += opts_.per_kb * (bytes / 1024);
   return delay;
-}
-
-SimTime DecayedLatency(SimTime latency, SimTime elapsed, SimTime half_life) {
-  if (latency == 0 || half_life == 0) return latency;
-  SimTime halvings = elapsed / half_life;
-  if (halvings >= 64) return 0;
-  return latency >> halvings;
 }
 
 void NetworkMetrics::Record(const char* tag, size_t bytes) {
@@ -139,6 +140,7 @@ void Network::TouchSlot(LoadSlot* slot, SimTime now) const {
     // one publishes-then-applies under mu), so the snapshot is identical
     // on serial and sharded backends.
     slot->published = slot->live;
+    slot->published_updated_at = slot->live_updated_at;
     slot->epoch = epoch;
   }
 }
@@ -148,17 +150,16 @@ DestinationLoad Network::LoadOf(HostId id) const {
   LoadSlot* slot = loads_[id].get();
   SimTime now = executor_->now();
   DestinationLoad l;
+  SimTime updated_at = 0;
   {
     std::lock_guard<std::mutex> lock(slot->mu);
     TouchSlot(slot, now);
-    l = load_probe_quantum_ == 0 ? slot->live : slot->published;
+    bool exact = load_probe_quantum_ == 0;
+    l = exact ? slot->live : slot->published;
+    updated_at = exact ? slot->live_updated_at : slot->published_updated_at;
   }
-  // Idle decay applied on read; the returned copy is stamped as-of-now so
-  // a holder re-decaying it later cannot double-count the pre-read idle
-  // interval.
-  l.smoothed_latency = DecayedLatency(
-      l.smoothed_latency, now - l.latency_updated_at, kLoadDecayHalfLife);
-  l.latency_updated_at = now;
+  // Idle decay applied on read.
+  l.smoothed_latency = DecayedLatency(l.smoothed_latency, now - updated_at);
   return l;
 }
 
@@ -194,12 +195,11 @@ void Network::SettleInFlight(HostId to, size_t bytes,
   l.in_flight_bytes -= bytes;
   // Decay the stored history to now first, then fold in the observation:
   // EWMA with 1/8 gain, seeded by the first (or post-idle) observation.
-  SimTime history = DecayedLatency(l.smoothed_latency,
-                                   now - l.latency_updated_at,
-                                   kLoadDecayHalfLife);
+  SimTime history =
+      DecayedLatency(l.smoothed_latency, now - slot->live_updated_at);
   l.smoothed_latency =
       history == 0 ? observed_delay : (7 * history + observed_delay) / 8;
-  l.latency_updated_at = now;
+  slot->live_updated_at = now;
 }
 
 void Network::SetHostUp(HostId id, bool up) {

@@ -155,13 +155,7 @@ struct DestinationLoad {
   /// what an unpaced sender managed to pile onto this destination.
   size_t peak_in_flight_bytes = 0;
   sim::SimTime smoothed_latency = 0;  ///< EWMA; 0 until the first delivery.
-  /// Time of the last EWMA update; the decay clock (internal to Network,
-  /// but exposed so probes can be re-decayed by holders of a stale copy).
-  sim::SimTime latency_updated_at = 0;
 };
-
-/// `latency` halved once per elapsed `half_life` (0 half-life = no decay).
-SimTime DecayedLatency(SimTime latency, SimTime elapsed, SimTime half_life);
 
 /// Aggregated network metrics, by category tag and in total.
 struct NetworkMetrics {
@@ -273,7 +267,10 @@ class Network {
     mutable std::mutex mu;
     uint64_t epoch = 0;
     DestinationLoad live;
+    /// Time of live's last EWMA update: the idle-decay clock.
+    SimTime live_updated_at = 0;
     DestinationLoad published;
+    SimTime published_updated_at = 0;  ///< live_updated_at as published.
   };
 
   /// Publishes `slot` if `now` crossed into a new quantum. Caller holds mu.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_set>
 
 namespace pierstack {
@@ -39,12 +40,6 @@ TEST(HashingTest, Mix64Avalanches) {
 
 TEST(HashingTest, HashCombineOrderSensitive) {
   EXPECT_NE(HashCombine(1, 2), HashCombine(2, 1));
-}
-
-TEST(HashingTest, HexFormatting) {
-  EXPECT_EQ(HashToHex(0), "0000000000000000");
-  EXPECT_EQ(HashToHex(0xdeadbeefULL), "00000000deadbeef");
-  EXPECT_EQ(HashToHex(UINT64_MAX), "ffffffffffffffff");
 }
 
 TEST(HashingTest, LowCollisionRateOnSequentialStrings) {

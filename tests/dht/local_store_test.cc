@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "common/bytes.h"
+#include "common/hashing.h"
+#include "common/rng.h"
+
 namespace pierstack::dht {
 namespace {
 
@@ -293,6 +302,276 @@ TEST(LocalStoreImageCacheTest, NamespaceDropReleasesImageBytes) {
   store.ExtractAll("inv");  // namespace-wide invalidation
   EXPECT_EQ(store.ImageCacheBytes(), 0u);
   EXPECT_EQ(store.TotalBytes(), 0u);
+}
+
+// --- Differential check against a multimap reference ----------------------
+
+/// The store's contract as a plain multimap per namespace: values under a
+/// key in insertion order, keys ascending. Every read filters expired
+/// entries; only extraction and purge remove them.
+class ReferenceStore {
+ public:
+  bool Put(const std::string& ns, Key key, const std::vector<uint8_t>& value,
+           sim::SimTime expiry) {
+    auto& space = spaces_[ns];
+    auto [lo, hi] = space.equal_range(key);
+    for (auto it = lo; it != hi; ++it) {
+      if (it->second.value == value) {
+        it->second.expiry = expiry;
+        return false;
+      }
+    }
+    bytes_ += value.size();
+    space.emplace(key, StoredValue{key, value, expiry});
+    return true;
+  }
+
+  std::vector<StoredValue> Get(const std::string& ns, Key key,
+                               sim::SimTime now) const {
+    std::vector<StoredValue> out;
+    auto sit = spaces_.find(ns);
+    if (sit == spaces_.end()) return out;
+    auto [lo, hi] = sit->second.equal_range(key);
+    for (auto it = lo; it != hi; ++it) {
+      if (Alive(it->second, now)) out.push_back(it->second);
+    }
+    return out;
+  }
+
+  std::vector<StoredValue> Scan(const std::string& ns,
+                                sim::SimTime now) const {
+    std::vector<StoredValue> out;
+    auto sit = spaces_.find(ns);
+    if (sit == spaces_.end()) return out;
+    for (const auto& [k, v] : sit->second) {
+      if (Alive(v, now)) out.push_back(v);
+    }
+    return out;
+  }
+
+  std::vector<uint8_t> Image(const std::string& ns, Key key,
+                             sim::SimTime now) const {
+    std::vector<StoredValue> live = Get(ns, key, now);
+    BytesWriter w;
+    w.PutVarint(live.size());
+    for (const StoredValue& v : live) {
+      w.PutBytes(v.value.data(), v.value.size());
+    }
+    return w.Take();
+  }
+
+  std::vector<StoredValue> ExtractRange(const std::string& ns, Key from,
+                                        Key to) {
+    std::vector<StoredValue> out;
+    auto sit = spaces_.find(ns);
+    if (sit == spaces_.end()) return out;
+    for (auto it = sit->second.begin(); it != sit->second.end();) {
+      if (InOpenClosed(from, to, it->first)) {
+        bytes_ -= it->second.value.size();
+        out.push_back(it->second);
+        it = sit->second.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    return out;
+  }
+
+  std::vector<StoredValue> ExtractAll(const std::string& ns) {
+    std::vector<StoredValue> out;
+    auto sit = spaces_.find(ns);
+    if (sit == spaces_.end()) return out;
+    for (const auto& [k, v] : sit->second) {
+      bytes_ -= v.value.size();
+      out.push_back(v);
+    }
+    sit->second.clear();
+    return out;
+  }
+
+  LocalStore::KeyDigest DigestKey(const std::string& ns, Key key,
+                                  sim::SimTime now) const {
+    LocalStore::KeyDigest d;
+    for (const StoredValue& v : Get(ns, key, now)) Fold(&d, v);
+    return d;
+  }
+
+  std::map<Key, LocalStore::KeyDigest> DigestRange(const std::string& ns,
+                                                   Key from, Key to,
+                                                   sim::SimTime now) const {
+    std::map<Key, LocalStore::KeyDigest> out;
+    auto sit = spaces_.find(ns);
+    if (sit == spaces_.end()) return out;
+    for (const auto& [k, v] : sit->second) {
+      if (InOpenClosed(from, to, k) && Alive(v, now)) Fold(&out[k], v);
+    }
+    return out;
+  }
+
+  size_t PurgeExpired(sim::SimTime now) {
+    size_t dropped = 0;
+    for (auto& [ns, space] : spaces_) {
+      for (auto it = space.begin(); it != space.end();) {
+        if (Alive(it->second, now)) {
+          ++it;
+          continue;
+        }
+        bytes_ -= it->second.value.size();
+        it = space.erase(it);
+        ++dropped;
+      }
+    }
+    return dropped;
+  }
+
+  size_t TotalEntries(sim::SimTime now) const {
+    size_t n = 0;
+    for (const auto& [ns, space] : spaces_) {
+      for (const auto& [k, v] : space) n += Alive(v, now) ? 1 : 0;
+    }
+    return n;
+  }
+
+  std::vector<std::string> Namespaces() const {
+    std::vector<std::string> out;
+    for (const auto& [ns, space] : spaces_) out.push_back(ns);
+    return out;
+  }
+
+  size_t payload_bytes() const { return bytes_; }
+
+ private:
+  static bool Alive(const StoredValue& v, sim::SimTime now) {
+    return v.expiry == 0 || v.expiry > now;
+  }
+  static void Fold(LocalStore::KeyDigest* d, const StoredValue& v) {
+    d->hash += Mix64(Fnv1a64(std::string_view(
+        reinterpret_cast<const char*>(v.value.data()), v.value.size())));
+    ++d->count;
+  }
+
+  std::map<std::string, std::multimap<Key, StoredValue>> spaces_;
+  size_t bytes_ = 0;
+};
+
+std::vector<StoredValue> Deref(const std::vector<const StoredValue*>& ptrs) {
+  std::vector<StoredValue> out;
+  for (const StoredValue* v : ptrs) out.push_back(*v);
+  return out;
+}
+
+/// Field-wise equality of two value sequences, in order.
+::testing::AssertionResult SameValues(const std::vector<StoredValue>& got,
+                                      const std::vector<StoredValue>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << got.size() << " != " << want.size();
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (got[i].key != want[i].key || got[i].value != want[i].value ||
+        got[i].expiry != want[i].expiry) {
+      return ::testing::AssertionFailure() << "entry " << i << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(LocalStoreDifferentialTest, RandomOperationsMatchMultimapReference) {
+  // Keys cluster at both ends of the ring so extraction and digest arcs
+  // wrap the origin; few payloads so re-publishes dedupe often.
+  const std::vector<Key> kKeys = {0,   1,   2,         3,         100,
+                                  101, 500, ~Key{0},   ~Key{0} - 1,
+                                  ~Key{0} - 100};
+  const std::vector<std::string> kNamespaces = {"inv", "items", "meta"};
+  size_t multi_value_gets = 0;  // reads whose order the check pins down
+  size_t extracted = 0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    LocalStore store;
+    ReferenceStore ref;
+    sim::SimTime now = 0;
+    auto key = [&] { return kKeys[rng.NextBelow(kKeys.size())]; };
+    auto ns = [&] { return kNamespaces[rng.NextBelow(kNamespaces.size())]; };
+    for (int op = 0; op < 2000; ++op) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " op " +
+                   std::to_string(op));
+      std::string n = ns();
+      Key k = key();
+      switch (rng.NextBelow(12)) {
+        case 0:
+        case 1:
+        case 2: {
+          std::vector<uint8_t> value =
+              Bytes("v" + std::to_string(rng.NextBelow(12)));
+          sim::SimTime expiry =
+              rng.NextBernoulli(0.7) ? 0 : now + 1 + rng.NextBelow(50);
+          ASSERT_EQ(store.Put(n, k, value, expiry),
+                    ref.Put(n, k, value, expiry));
+          break;
+        }
+        case 3:
+          ASSERT_TRUE(SameValues(Deref(store.Get(n, k, now)),
+                                 ref.Get(n, k, now)));
+          multi_value_gets += ref.Get(n, k, now).size() > 1 ? 1 : 0;
+          ASSERT_EQ(store.Count(n, k, now), ref.Get(n, k, now).size());
+          ASSERT_EQ(store.Has(n, k, now), !ref.Get(n, k, now).empty());
+          break;
+        case 4:
+          ASSERT_TRUE(SameValues(Deref(store.Scan(n, now)), ref.Scan(n, now)));
+          break;
+        case 5:
+          ASSERT_EQ(*store.GetBatch(n, k, now), ref.Image(n, k, now));
+          break;
+        case 6: {
+          if (rng.NextBelow(4) != 0) break;  // let posting lists grow
+          // (k - 1, k] takes one key; (k, k] is the whole ring.
+          Key from = rng.NextBernoulli(0.5) ? k - 1 : key();
+          std::vector<StoredValue> want = ref.ExtractRange(n, from, k);
+          ASSERT_TRUE(SameValues(store.ExtractRange(n, from, k), want));
+          extracted += want.size();
+          break;
+        }
+        case 7:
+          if (rng.NextBelow(4) == 0) {
+            ASSERT_TRUE(SameValues(store.ExtractAll(n), ref.ExtractAll(n)));
+          }
+          break;
+        case 8:
+          ASSERT_EQ(store.DigestKey(n, k, now), ref.DigestKey(n, k, now));
+          break;
+        case 9: {
+          Key from = key();
+          auto got = store.DigestRange(n, from, k, now);
+          auto want = ref.DigestRange(n, from, k, now);
+          ASSERT_EQ(got.size(), want.size());
+          auto w = want.begin();
+          for (const auto& [gk, gd] : got) {
+            ASSERT_EQ(gk, w->first);
+            ASSERT_EQ(gd, w->second);
+            ++w;
+          }
+          break;
+        }
+        case 10:
+          if (rng.NextBelow(8) == 0) {
+            ASSERT_EQ(store.PurgeExpired(now), ref.PurgeExpired(now));
+          }
+          break;
+        case 11:
+          now += rng.NextBelow(10);
+          break;
+      }
+      ASSERT_EQ(store.TotalBytes() - store.ImageCacheBytes(),
+                ref.payload_bytes());
+    }
+    EXPECT_EQ(store.TotalEntries(now), ref.TotalEntries(now));
+    EXPECT_EQ(store.Namespaces(), ref.Namespaces());
+    for (const std::string& n : kNamespaces) {
+      EXPECT_TRUE(SameValues(Deref(store.Scan(n, 0)), ref.Scan(n, 0)));
+    }
+  }
+  EXPECT_GT(multi_value_gets, 250u);
+  EXPECT_GT(extracted, 1000u);
 }
 
 }  // namespace

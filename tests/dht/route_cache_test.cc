@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "dht/builder.h"
 #include "dht/node.h"
 
@@ -118,6 +121,155 @@ TEST(RouteCacheTest, StaleExactKeyEntryDoesNotMaskWiderArc) {
   EXPECT_EQ(cache.Lookup(700).host, stale.host);
   // The probe walks past the non-covering exact entry.
   EXPECT_EQ(cache.Lookup(650).host, owner.host);
+}
+
+// --- Differential check against a std::map reference ----------------------
+
+/// The cache's contract as an ordered map from arc end to entry, with the
+/// same three-probe wrapping lookup, oldest-seq eviction and epoch fence.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(size_t capacity) : capacity_(capacity) {}
+
+  NodeInfo Lookup(Key target) const {
+    if (arcs_.empty()) return NodeInfo{};
+    auto it = arcs_.lower_bound(target);
+    for (int i = 0; i < 3; ++i) {
+      if (it == arcs_.end()) it = arcs_.begin();
+      if (it->second.epoch == epoch_ &&
+          InOpenClosed(it->second.arc_start, it->first, target)) {
+        return it->second.owner;
+      }
+      ++it;
+    }
+    return NodeInfo{};
+  }
+
+  bool Teach(const OwnerHint& hint) {
+    if (!hint.valid || !hint.owner.valid()) return false;
+    auto it = arcs_.find(hint.arc_end);
+    bool replaced = it != arcs_.end() && it->second.epoch == epoch_ &&
+                    it->second.owner.host != hint.owner.host;
+    arcs_[hint.arc_end] = Entry{hint.arc_start, hint.owner, seq_++, epoch_};
+    if (arcs_.size() > capacity_) {
+      auto oldest = arcs_.begin();
+      for (auto e = arcs_.begin(); e != arcs_.end(); ++e) {
+        if (e->second.seq < oldest->second.seq) oldest = e;
+      }
+      arcs_.erase(oldest);
+    }
+    return replaced;
+  }
+
+  void ForgetHost(sim::HostId host) {
+    for (auto it = arcs_.begin(); it != arcs_.end();) {
+      it = it->second.owner.host == host ? arcs_.erase(it) : std::next(it);
+    }
+  }
+
+  size_t FenceEpoch() {
+    ++epoch_;
+    size_t purged = 0;
+    for (auto it = arcs_.begin(); it != arcs_.end();) {
+      if (it->second.epoch != epoch_) {
+        it = arcs_.erase(it);
+        ++purged;
+      } else {
+        ++it;
+      }
+    }
+    return purged;
+  }
+
+  size_t size() const { return arcs_.size(); }
+
+ private:
+  struct Entry {
+    Key arc_start = 0;
+    NodeInfo owner;
+    uint64_t seq = 0;
+    uint64_t epoch = 0;
+  };
+  std::map<Key, Entry> arcs_;
+  size_t capacity_;
+  uint64_t seq_ = 0;
+  uint64_t epoch_ = 0;
+};
+
+TEST(RouteCacheDifferentialTest, RandomOperationsMatchMapReference) {
+  // Arc ends cluster around the ring origin so arcs wrap it and lookups
+  // past the largest end must wrap to the smallest.
+  const std::vector<Key> kEnds = {0,   5,   10,  40,  100, 101, 1000,
+                                  ~Key{0}, ~Key{0} - 7, ~Key{0} - 500};
+  for (size_t capacity : {size_t{1}, size_t{7}, size_t{256}}) {
+    size_t hits = 0;  // lookups that found an arc: the check is not vacuous
+    for (uint64_t seed = 1; seed <= 10; ++seed) {
+      Rng rng(seed * 31 + capacity);
+      RouteCache cache(capacity);
+      ReferenceCache ref(capacity);
+      auto end = [&]() -> Key {
+        // Mostly the clustered pool; sometimes a fresh random end so the
+        // 256-arc cache fills past its capacity.
+        if (rng.NextBelow(4) == 0) return rng.Next();
+        return kEnds[rng.NextBelow(kEnds.size())];
+      };
+      for (int op = 0; op < 3000; ++op) {
+        SCOPED_TRACE("capacity " + std::to_string(capacity) + " seed " +
+                     std::to_string(seed) + " op " + std::to_string(op));
+        switch (rng.NextBelow(10)) {
+          case 0:
+          case 1:
+          case 2:
+          case 3: {
+            Key arc_end = end();
+            // Widths: an exact-key arc (k - 1, k], which layers a stale
+            // entry inside wider arcs, a short arc, or a wide one that
+            // often wraps the origin.
+            Key width = 1;
+            switch (rng.NextBelow(3)) {
+              case 0: width = 1; break;
+              case 1: width = 1 + rng.NextBelow(200); break;
+              case 2: width = rng.Next() >> rng.NextBelow(64); break;
+            }
+            NodeInfo owner{arc_end, static_cast<sim::HostId>(
+                                        rng.NextBelow(12))};
+            OwnerHint hint = Hint(arc_end - width, arc_end, owner);
+            hint.valid = rng.NextBelow(20) != 0;
+            ASSERT_EQ(cache.Teach(hint), ref.Teach(hint));
+            break;
+          }
+          case 4:
+          case 5:
+          case 6:
+          case 7: {
+            Key target = rng.NextBelow(3) == 0
+                             ? rng.Next()
+                             : end() + rng.NextBelow(5) - 2;
+            NodeInfo got = cache.Lookup(target), want = ref.Lookup(target);
+            ASSERT_EQ(got.valid(), want.valid()) << "target " << target;
+            if (want.valid()) {
+              ASSERT_TRUE(got == want) << "target " << target;
+              ++hits;
+            }
+            break;
+          }
+          case 8: {
+            auto host = static_cast<sim::HostId>(rng.NextBelow(12));
+            cache.ForgetHost(host);
+            ref.ForgetHost(host);
+            break;
+          }
+          case 9:
+            if (rng.NextBelow(10) == 0) {
+              ASSERT_EQ(cache.FenceEpoch(), ref.FenceEpoch());
+            }
+            break;
+        }
+        ASSERT_EQ(cache.size(), ref.size());
+      }
+    }
+    EXPECT_GT(hits, 1000u) << "capacity " << capacity;
+  }
 }
 
 // --- DhtNode integration ---------------------------------------------------

@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "common/rng.h"
+#include "dht/bamboo.h"
 #include "dht/builder.h"
 #include "dht/chord.h"
 #include "dht/node.h"
@@ -106,6 +109,283 @@ TEST(NextHopPolicyTest, BackedUpClassicHopIsDetouredAround) {
     EXPECT_EQ(fallback.next.host, classic.host);
   }
   EXPECT_TRUE(exercised);
+}
+
+// --- Differential check against reference copies of the plain loops -------
+
+/// Chord's greedy pick visiting every finger, repeats included.
+NodeInfo ReferenceChordNextHop(const ChordRouting& t, Key target) {
+  const auto& succs = t.successor_list();
+  if (succs.empty()) return t.self();
+  if (t.IsOwner(target)) return t.self();
+  NodeInfo succ = succs.front();
+  if (InOpenClosed(t.self().id, succ.id, target)) return succ;
+  NodeInfo best = succ;
+  Key best_dist = ClockwiseDistance(best.id, target);
+  auto consider = [&](const NodeInfo& cand) {
+    if (!cand.valid() || cand.host == t.self().host) return;
+    if (!InOpenOpen(t.self().id, target, cand.id)) return;
+    Key d = ClockwiseDistance(cand.id, target);
+    if (d < best_dist) {
+      best = cand;
+      best_dist = d;
+    }
+  };
+  for (size_t i = 0; i < ChordRouting::kNumFingers; ++i) consider(t.finger(i));
+  for (const auto& s : succs) consider(s);
+  return best;
+}
+
+/// Chord's progress candidates, every finger and successor, repeats kept.
+std::vector<NodeInfo> ReferenceChordCandidates(const ChordRouting& t,
+                                               Key target) {
+  std::vector<NodeInfo> out;
+  auto consider = [&](const NodeInfo& cand) {
+    if (!cand.valid() || cand.host == t.self().host) return;
+    if (!InOpenOpen(t.self().id, target, cand.id)) return;
+    out.push_back(cand);
+  };
+  for (size_t i = 0; i < ChordRouting::kNumFingers; ++i) consider(t.finger(i));
+  for (const auto& s : t.successor_list()) consider(s);
+  return out;
+}
+
+double ReferencePenalty(const sim::DestinationLoad& load) {
+  double hops = 0;
+  if (load.in_flight_messages > 2) {
+    hops += static_cast<double>(load.in_flight_messages - 2);
+  }
+  if (load.in_flight_bytes > 32 * 1024) {
+    hops += static_cast<double>(load.in_flight_bytes - 32 * 1024) /
+            static_cast<double>(16 * 1024);
+  }
+  if (load.smoothed_latency > 50 * sim::kMillisecond) {
+    hops += static_cast<double>(load.smoothed_latency -
+                                50 * sim::kMillisecond) /
+            static_cast<double>(100 * sim::kMillisecond);
+  }
+  return hops;
+}
+
+int ReferenceBits(Key d) {
+  int bits = 0;
+  for (; d != 0; d >>= 1) ++bits;
+  return bits;
+}
+
+/// The congestion-aware choice as a plain loop: probe every distinct host
+/// among `candidates` (first occurrence stands for a host) and keep the
+/// best score. `needed` counts the probes no exact policy can skip: the
+/// classic pick plus each distinct host whose distance bits fall below the
+/// classic score.
+NextHopChoice ReferenceChoose(const RoutingTable& table, Key target,
+                              const std::vector<NodeInfo>& candidates,
+                              const LoadProbe& probe, size_t* needed) {
+  *needed = 0;
+  NodeInfo classic = table.NextHop(target);
+  if (classic.host == table.self().host) return {classic, false};
+  *needed = 1;
+  double classic_penalty = ReferencePenalty(probe(classic.host));
+  if (classic_penalty <= 0) return {classic, false};
+  double classic_score =
+      ReferenceBits(table.RouteDistance(classic.id, target)) + classic_penalty;
+  NodeInfo best;
+  double best_score = 0;
+  Key best_dist = 0;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const NodeInfo& cand = candidates[i];
+    if (!cand.valid() || cand.host == classic.host) continue;
+    bool seen = false;
+    for (size_t j = 0; j < i && !seen; ++j) {
+      seen = candidates[j].host == cand.host;
+    }
+    if (seen) continue;
+    Key dist = table.RouteDistance(cand.id, target);
+    double bits = ReferenceBits(dist);
+    if (bits < classic_score) ++*needed;
+    double score = bits + ReferencePenalty(probe(cand.host));
+    if (!best.valid() || score < best_score ||
+        (score == best_score &&
+         (dist < best_dist || (dist == best_dist && cand.id < best.id)))) {
+      best = cand;
+      best_score = score;
+      best_dist = dist;
+    }
+  }
+  if (best.valid() && best_score < classic_score) return {best, true};
+  return {classic, false};
+}
+
+/// Synthetic per-host loads. Message and latency terms are mostly whole
+/// hops, so candidates whose distance bits exactly equal the classic
+/// score (the prune's boundary) come up often.
+std::vector<sim::DestinationLoad> RandomLoads(Rng* rng, size_t hosts) {
+  std::vector<sim::DestinationLoad> loads(hosts);
+  for (auto& l : loads) {
+    l.in_flight_messages = static_cast<uint32_t>(rng->NextBelow(6));
+    if (rng->NextBelow(8) == 0) {
+      l.in_flight_bytes = rng->NextBelow(128 * 1024);
+    }
+    switch (rng->NextBelow(4)) {
+      case 0: l.smoothed_latency = 0; break;
+      case 1: l.smoothed_latency = 150 * sim::kMillisecond; break;
+      case 2: l.smoothed_latency = 250 * sim::kMillisecond; break;
+      case 3:
+        l.smoothed_latency = rng->NextBelow(200) * sim::kMillisecond;
+        break;
+    }
+  }
+  return loads;
+}
+
+/// A static Chord table of `members`, then damaged the way churn leaves
+/// it: evicted peers (finger holes), a stale successor list and
+/// predecessor, runs of one repeated finger, and a host that reappears
+/// under a second id.
+ChordRouting DamagedChordTable(Rng* rng, const std::vector<NodeInfo>& members,
+                               size_t self_index) {
+  ChordRouting t(members[self_index]);
+  t.BuildStatic(members);
+  auto random_member = [&] {
+    return members[rng->NextBelow(members.size())];
+  };
+  for (int i = 0, holes = static_cast<int>(rng->NextBelow(6)); i < holes;
+       ++i) {
+    NodeInfo victim = random_member();
+    if (victim.host != t.self().host) t.RemovePeer(victim.host);
+  }
+  if (rng->NextBelow(3) == 0) {
+    std::vector<NodeInfo> stale;
+    for (int i = 0; i < 4; ++i) stale.push_back(random_member());
+    t.SetSuccessorList(stale);
+  }
+  if (rng->NextBelow(3) == 0) t.SetPredecessor(random_member());
+  for (int i = 0, runs = static_cast<int>(rng->NextBelow(4)); i < runs; ++i) {
+    NodeInfo f = random_member();
+    size_t start = rng->NextBelow(ChordRouting::kNumFingers);
+    size_t len = 1 + rng->NextBelow(8);
+    for (size_t j = start; j < start + len && j < ChordRouting::kNumFingers;
+         ++j) {
+      t.SetFinger(j, f);
+    }
+  }
+  if (rng->NextBelow(2) == 0) {
+    NodeInfo twin = random_member();
+    twin.id = rng->Next();  // same host, second identity
+    t.SetFinger(rng->NextBelow(ChordRouting::kNumFingers), twin);
+  }
+  return t;
+}
+
+TEST(NextHopDifferentialTest, ChordChoiceMatchesReferenceLoops) {
+  auto aware = MakeNextHopPolicy(RoutingPolicyKind::kCongestionAware);
+  size_t detours = 0, slow_paths = 0, boundary_cases = 0;
+  size_t probes_new = 0, probes_ref = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    size_t n = 64 + rng.NextBelow(937);
+    std::vector<NodeInfo> members;
+    for (size_t i = 0; i < n; ++i) {
+      members.push_back({rng.Next(), static_cast<sim::HostId>(i)});
+    }
+    std::sort(members.begin(), members.end(),
+              [](const NodeInfo& a, const NodeInfo& b) { return a.id < b.id; });
+    for (int table_no = 0; table_no < 4; ++table_no) {
+      ChordRouting t = DamagedChordTable(&rng, members, rng.NextBelow(n));
+      std::vector<sim::DestinationLoad> loads = RandomLoads(&rng, n);
+      size_t calls = 0;
+      LoadProbe probe = [&](sim::HostId h) {
+        ++calls;
+        return loads[h];
+      };
+      for (int q = 0; q < 200; ++q) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " table " +
+                     std::to_string(table_no) + " query " +
+                     std::to_string(q));
+        Key target = rng.NextBelow(4) == 0 ? members[rng.NextBelow(n)].id
+                                           : rng.Next();
+        ASSERT_TRUE(t.NextHop(target) == ReferenceChordNextHop(t, target));
+
+        size_t needed = 0;
+        calls = 0;
+        NextHopChoice want = ReferenceChoose(
+            t, target, ReferenceChordCandidates(t, target), probe, &needed);
+        size_t ref_calls = calls;
+        calls = 0;
+        NextHopChoice got = aware->Choose(t, target, probe);
+        ASSERT_TRUE(got.next == want.next);
+        ASSERT_EQ(got.detour, want.detour);
+        ASSERT_LE(calls, ref_calls);
+        ASSERT_EQ(calls, needed);
+        detours += got.detour ? 1 : 0;
+        slow_paths += ref_calls > 1 ? 1 : 0;
+        probes_new += calls;
+        probes_ref += ref_calls;
+        if (ref_calls > 1) {
+          // Count decisions with a candidate exactly at the prune bound.
+          NodeInfo classic = t.NextHop(target);
+          double score =
+              ReferenceBits(t.RouteDistance(classic.id, target)) +
+              ReferencePenalty(loads[classic.host]);
+          for (const NodeInfo& c : ReferenceChordCandidates(t, target)) {
+            if (c.host != classic.host &&
+                ReferenceBits(t.RouteDistance(c.id, target)) == score) {
+              ++boundary_cases;
+              break;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The comparison covered detours, the slow path and the prune boundary,
+  // and the prune saved probes.
+  EXPECT_GT(detours, 4000u);
+  EXPECT_GT(slow_paths, 6000u);
+  EXPECT_GT(boundary_cases, 1000u);
+  EXPECT_LT(probes_new, probes_ref);
+}
+
+TEST(NextHopDifferentialTest, BambooChoiceMatchesReferenceLoop) {
+  // Bamboo's candidate list is unchanged; the policy's dedupe and prune
+  // must still pick what the plain loop picks over it.
+  auto aware = MakeNextHopPolicy(RoutingPolicyKind::kCongestionAware);
+  size_t detours = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed + 100);
+    size_t n = 64 + rng.NextBelow(937);
+    std::vector<NodeInfo> members;
+    for (size_t i = 0; i < n; ++i) {
+      members.push_back({rng.Next(), static_cast<sim::HostId>(i)});
+    }
+    std::sort(members.begin(), members.end(),
+              [](const NodeInfo& a, const NodeInfo& b) { return a.id < b.id; });
+    BambooRouting t(members[rng.NextBelow(n)]);
+    t.BuildStatic(members);
+    std::vector<sim::DestinationLoad> loads = RandomLoads(&rng, n);
+    size_t calls = 0;
+    LoadProbe probe = [&](sim::HostId h) {
+      ++calls;
+      return loads[h];
+    };
+    for (int q = 0; q < 400; ++q) {
+      Key target = rng.Next();
+      std::vector<NodeInfo> cands;
+      t.AppendProgressCandidates(target, &cands);
+      size_t needed = 0;
+      calls = 0;
+      NextHopChoice want = ReferenceChoose(t, target, cands, probe, &needed);
+      size_t ref_calls = calls;
+      calls = 0;
+      NextHopChoice got = aware->Choose(t, target, probe);
+      ASSERT_TRUE(got.next == want.next) << "seed " << seed << " q " << q;
+      ASSERT_EQ(got.detour, want.detour);
+      ASSERT_LE(calls, ref_calls);
+      ASSERT_EQ(calls, needed);
+      detours += got.detour ? 1 : 0;
+    }
+  }
+  EXPECT_GT(detours, 500u);
 }
 
 // --- End-to-end detours ----------------------------------------------------
