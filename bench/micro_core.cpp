@@ -29,7 +29,6 @@
 #include "dht/builder.h"
 #include "dht/chord.h"
 #include "dht/churn.h"
-#include "dht/local_store.h"
 #include "dht/ring_oracle.h"
 #include "gnutella/index.h"
 #include "pier/node.h"
@@ -914,53 +913,6 @@ static void BM_ChordNextHop(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChordNextHop)->Arg(1024)->Arg(16384);
-
-// The congestion-aware pick on a built Chord table, every probe reporting
-// a smoothed latency past the 50 ms slack: the steady state of the
-// benchmark workloads' uniform 10-120 ms links, where every decision takes
-// the scoring path. Pins a routing-layer regression apart from the store.
-static void BM_CongestionAwareChoose(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(6);
-  std::vector<dht::NodeInfo> members;
-  for (size_t i = 0; i < n; ++i) {
-    members.push_back({rng.Next(), static_cast<sim::HostId>(i)});
-  }
-  std::sort(members.begin(), members.end(),
-            [](auto& a, auto& b) { return a.id < b.id; });
-  dht::ChordRouting table(members[n / 2]);
-  table.BuildStatic(members);
-  auto policy =
-      dht::MakeNextHopPolicy(dht::RoutingPolicyKind::kCongestionAware);
-  dht::LoadProbe probe = [](sim::HostId h) {
-    sim::DestinationLoad l;
-    l.smoothed_latency = (55 + h % 40) * sim::kMillisecond;
-    return l;
-  };
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(policy->Choose(table, rng.Next(), probe));
-  }
-}
-BENCHMARK(BM_CongestionAwareChoose)->Arg(256)->Arg(1024);
-
-// A size probe's store read: LocalStore::Count on one key holding a
-// posting list of N values. Pins a store-layer regression.
-static void BM_LocalStorePostingCount(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  dht::LocalStore store;
-  const dht::Key key = Mix64(n);
-  for (size_t i = 0; i < n; ++i) {
-    std::vector<uint8_t> posting(24, 0);  // a posting-entry-sized frame
-    posting[0] = static_cast<uint8_t>(i);
-    posting[1] = static_cast<uint8_t>(i >> 8);
-    store.Put("inverted", key, std::move(posting));
-  }
-  const std::string ns = "inverted";
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(store.Count(ns, key, 0));
-  }
-}
-BENCHMARK(BM_LocalStorePostingCount)->Arg(100)->Arg(1000);
 
 static void BM_BambooNextHop(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));

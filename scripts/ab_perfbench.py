@@ -2,9 +2,9 @@
 """A/B-compares two commits on one perfbench workload.
 
     scripts/ab_perfbench.py --base <rev> [--change <rev>] \\
-        --workload hybrid_flood --pairs 5 [--seed 1] [--seconds S]
+        --workload hybrid_flood --pairs 5 [--seed 1]
     scripts/ab_perfbench.py --base <rev> [--change <rev>] \\
-        --workload hybrid_flood --traced [--seed 1] [--seconds S]
+        --workload hybrid_flood --traced [--seed 1]
 
 Exports both revisions with `git archive` into their own temporary
 directories (no network), then runs `perfbench/run.py --trace 0` in each
@@ -19,21 +19,20 @@ Exits non-zero if any run fails or reports an incorrect answer, if the
 trees differ in `failed`, or if any simulated-clock metric differs between
 them — those are seeded results, not timings, and must match exactly.
 
---seconds S runs each workload for S seconds instead of BENCHMARK.json's
-run_seconds, for quick local pairs; a claim is judged at run_seconds.
-
---traced replaces the timed pairs with one `--trace 1` run per tree and
-compares every per-layer metric of BENCHMARK.json. Wall-clock metrics
+--traced replaces the timed pairs with one 1 s `--trace 1` run per tree
+(TRACED_SECONDS; perfbench still does at least three reps) and compares
+every per-layer metric of BENCHMARK.json. Wall-clock metrics
 (units s, us and ns/tuple, plus sim.run_share and shard.parallel_eff) are
-printed but exempt, and so are the two high-water marks sim.pending_max
+printed but exempt. On a workload that perfbench runs on more than one
+shard (dht_churn_sharded), so are the two high-water marks sim.pending_max
 and net.inflight_peak_bytes: the sharded backend samples them while its
 workers run, so they move with the thread schedule (three traced runs of
-one tree on dht_churn_sharded read net.inflight_peak_bytes 1272, 1272 and
-1259). Every other metric (sim.events, net.tag.*, dht.hops_per_route,
+one tree read net.inflight_peak_bytes 1272, 1272 and 1259). On the serial
+workloads the peaks come from the seeded simulation and are compared.
+Every other metric (sim.events, net.tag.*, dht.hops_per_route,
 trace.spans, ...) is a count or ratio of the seeded simulation and must
 match exactly. Exits non-zero on any difference or a failed run:
-"simulated behaviour unchanged" as one command. A traced run lasts at
-least three reps whatever S is, so --seconds 1 is enough.
+"simulated behaviour unchanged" as one command.
 """
 
 import argparse
@@ -55,8 +54,12 @@ SIM_METRICS = ("query_p50_ms", "query_p99_ms", "recall", "bytes_per_query",
 WALL_UNITS = ("s", "us", "ns/tuple")
 WALL_METRICS = ("sim.run_share", "shard.parallel_eff")
 # Peaks that follow the thread schedule on the sharded backend; --traced
-# prints them but does not compare them either.
+# prints them but does not compare them on the workloads perfbench runs
+# sharded (perfbench/main.cc picks the shard count by workload name).
 SCHEDULE_PEAKS = ("sim.pending_max", "net.inflight_peak_bytes")
+SHARDED_WORKLOADS = ("dht_churn_sharded",)
+# Length of a traced run: only its counts are compared, so short is enough.
+TRACED_SECONDS = 1
 
 
 def log(msg):
@@ -104,9 +107,6 @@ def main():
     ap.add_argument("--pairs", type=int,
                     help="timed pairs to run (required without --traced)")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float,
-                    help="seconds per run (default: BENCHMARK.json's "
-                         "run_seconds)")
     ap.add_argument("--traced", action="store_true",
                     help="compare one --trace 1 run per tree instead")
     args = ap.parse_args()
@@ -123,10 +123,9 @@ def main():
         for side, rev in (("base", args.base), ("change", args.change)):
             log("ab: exporting %s (%s) to %s" % (side, rev, trees[side]))
             export(rev, trees[side])
-        seconds = args.seconds or spec["run_seconds"]
         if args.traced:
-            return compare_traced(args, spec["per_layer"], seconds, trees)
-        return compare(args, spec["end_to_end"], seconds, trees)
+            return compare_traced(args, spec["per_layer"], trees)
+        return compare(args, spec["end_to_end"], spec["run_seconds"], trees)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -183,17 +182,18 @@ def compare(args, metrics, seconds, trees):
     return 0 if ok else 1
 
 
-def compare_traced(args, metrics, seconds, trees):
+def compare_traced(args, metrics, trees):
     results = {}
     for side in ("base", "change"):
-        rc, result = run_once(trees[side], args, seconds, trace=1)
+        rc, result = run_once(trees[side], args, TRACED_SECONDS, trace=1)
         if rc != 0 or result is None or not result.get("correct"):
             log("ab: traced %s run failed (exit %d)" % (side, rc))
             return 1
         results[side] = result
 
     print("workload %s, seed %d, one traced run per tree, %g s" %
-          (args.workload, args.seed, seconds))
+          (args.workload, args.seed, TRACED_SECONDS))
+    peaks_vary = args.workload in SHARDED_WORKLOADS
     header = "%-34s %-10s %16s %16s  %s" % ("metric", "unit", "base",
                                             "change", "check")
     print(header)
@@ -205,7 +205,7 @@ def compare_traced(args, metrics, seconds, trees):
         change = results["change"]["metrics"][name]["value"]
         if m["unit"] in WALL_UNITS or name in WALL_METRICS:
             check = "wall clock"
-        elif name in SCHEDULE_PEAKS:
+        elif peaks_vary and name in SCHEDULE_PEAKS:
             check = "peak, not compared"
         elif base == change:
             check = "same"
