@@ -1591,7 +1591,7 @@ static void BM_KeywordIndexMatch(benchmark::State& state) {
     f.file_id = i;
     index.Add(f, static_cast<sim::HostId>(i % 100));
   }
-  std::vector<std::string> query{"artist42", "common"};
+  auto query = gnutella::ParsedQuery::Parse("artist42 common");
   for (auto _ : state) {
     benchmark::DoNotOptimize(index.Match(query));
   }

@@ -9,11 +9,20 @@ namespace pierstack::gnutella {
 
 namespace {
 
-uint64_t TermHash(std::string_view text) { return Mix64(Fnv1a64(text)); }
-
 uint32_t Tag(uint64_t h) { return static_cast<uint32_t>(h >> 32); }
 
 }  // namespace
+
+uint64_t TermHash(std::string_view term) { return Mix64(Fnv1a64(term)); }
+
+ParsedQuery ParsedQuery::Parse(std::string text) {
+  ParsedQuery q;
+  q.terms = ExtractUniqueKeywords(text);
+  q.hashes.reserve(q.terms.size());
+  for (const auto& t : q.terms) q.hashes.push_back(TermHash(t));
+  q.text = std::move(text);
+  return q;
+}
 
 void KeywordIndex::Add(const SharedFile& file, sim::HostId owner) {
   uint32_t idx = static_cast<uint32_t>(entries_.size());
@@ -40,23 +49,22 @@ void KeywordIndex::RemoveOwner(sim::HostId owner) {
 }
 
 std::vector<const KeywordIndex::Entry*> KeywordIndex::Match(
-    const std::vector<std::string>& query_terms) const {
+    const ParsedQuery& query) const {
   std::vector<const Entry*> out;
-  // One probe per indexable term. Stop words are never indexed, so the
-  // stop-word check only runs on a miss: a missing stop word is skipped,
-  // any other missing term means nothing can match.
-  std::vector<const std::vector<uint32_t>*> lists;
-  const auto& stop = DefaultStopWords();
-  for (const auto& t : query_terms) {
-    if (t.size() < 2) continue;
-    const Term* term = FindTerm(t, TermHash(t));
-    if (term != nullptr) {
-      lists.push_back(&term->postings);
-    } else if (!stop.count(t)) {
-      return out;
-    }
+  if (query.terms.empty()) return out;
+  // Parse dropped the stop words, which are never indexed, so any missing
+  // term means nothing can match. On most flood hops some term is missing:
+  // check every term's slot tag first, so that such a hop loads no term
+  // and allocates nothing, then confirm each tag hit on the term's text.
+  for (uint64_t h : query.hashes) {
+    if (!HasTag(h)) return out;
   }
-  if (lists.empty()) return out;
+  std::vector<const std::vector<uint32_t>*> lists;
+  for (size_t i = 0; i < query.terms.size(); ++i) {
+    const Term* term = FindTerm(query.terms[i], query.hashes[i]);
+    if (term == nullptr) return out;
+    lists.push_back(&term->postings);
+  }
 
   // Start from the shortest posting list (the paper's smaller-posting-
   // lists-first optimization applies locally too).
@@ -81,11 +89,6 @@ std::vector<const KeywordIndex::Entry*> KeywordIndex::Match(
   return out;
 }
 
-std::vector<const KeywordIndex::Entry*> KeywordIndex::MatchText(
-    const std::string& query_text) const {
-  return Match(SplitTerms(query_text));
-}
-
 size_t KeywordIndex::PostingListSize(const std::string& term) const {
   const Term* t = FindTerm(term, TermHash(term));
   return t == nullptr ? 0 : t->postings.size();
@@ -98,6 +101,16 @@ std::vector<const KeywordIndex::Entry*> KeywordIndex::AllEntries() const {
     if (e.owner != sim::kInvalidHost) out.push_back(&e);
   }
   return out;
+}
+
+bool KeywordIndex::HasTag(uint64_t h) const {
+  if (slots_.empty()) return false;
+  size_t mask = slots_.size() - 1;
+  uint32_t tag = Tag(h);
+  for (size_t s = h & mask; slots_[s].term1 != 0; s = (s + 1) & mask) {
+    if (slots_[s].tag == tag) return true;
+  }
+  return false;
 }
 
 const KeywordIndex::Term* KeywordIndex::FindTerm(std::string_view text,

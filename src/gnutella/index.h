@@ -3,7 +3,9 @@
 // An ultrapeer answers queries against its own files plus the file lists
 // its leaves published. Matching is conjunctive keyword match: a file
 // matches iff every query keyword appears among the file's keywords
-// (tokenized and stop-word-filtered identically on both sides).
+// (tokenized and stop-word-filtered identically on both sides). A query
+// is tokenized once, into a ParsedQuery that carries each keyword's term
+// hash, so a match probes the term table without touching the query text.
 //
 // Layout: entries and terms live in dense vectors; each term owns its
 // posting list (entry indices, ascending by construction). Terms are found
@@ -25,6 +27,22 @@
 
 namespace pierstack::gnutella {
 
+/// The hash a KeywordIndex files a term under.
+uint64_t TermHash(std::string_view term);
+
+/// A query as every hop matches it, parsed once where the query enters the
+/// network: the text as it travels on the wire, and its indexable terms
+/// (SplitTerms minus stop words and one-character terms, each term once,
+/// in first-occurrence order) with their TermHashes. Immutable, so every
+/// hop, message copy and shard that sees the query shares one instance.
+struct ParsedQuery {
+  std::string text;
+  std::vector<std::string> terms;
+  std::vector<uint64_t> hashes;  ///< hashes[i] == TermHash(terms[i])
+
+  static ParsedQuery Parse(std::string text);
+};
+
 /// Append-oriented inverted index of shared files.
 class KeywordIndex {
  public:
@@ -44,15 +62,11 @@ class KeywordIndex {
   /// Removes every entry owned by `owner` (leaf disconnect). O(index).
   void RemoveOwner(sim::HostId owner);
 
-  /// All live entries matching every term in `query_terms`, in ascending
-  /// entry (insertion) order. Terms must already be tokenized/lower-cased;
-  /// stop words and one-character terms are ignored. A term list with no
-  /// indexable term matches nothing — Gnutella drops empty queries.
-  std::vector<const Entry*> Match(
-      const std::vector<std::string>& query_terms) const;
-
-  /// Convenience: tokenizes `query_text` then matches.
-  std::vector<const Entry*> MatchText(const std::string& query_text) const;
+  /// All live entries matching every term of `query`, in ascending entry
+  /// (insertion) order: one probe per term with its parsed hash, stopping
+  /// at the first term never indexed. A query with no indexable term
+  /// matches nothing — Gnutella drops empty queries.
+  std::vector<const Entry*> Match(const ParsedQuery& query) const;
 
   /// Number of posting-list entries that a lookup of `term` would scan —
   /// the local analogue of the paper's posting-list length. Tombstoned
@@ -74,6 +88,8 @@ class KeywordIndex {
     uint32_t term1;  // 1-based index into terms_; 0 = empty
   };
 
+  /// False if no term hashed like `h` was ever indexed; reads slots only.
+  bool HasTag(uint64_t h) const;
   /// The term `text` (hashed to `h`), or nullptr if it was never indexed.
   const Term* FindTerm(std::string_view text, uint64_t h) const;
   /// The term `text`, created with an empty posting list if absent.

@@ -102,14 +102,16 @@ Guid GnutellaNode::StartQuery(const std::string& text,
   ++metrics_->queries_started;
   Guid guid = rng_.Next();
   local_queries_[guid] = LocalQuery{std::move(callback), {}};
+  auto query = std::make_shared<const ParsedQuery>(ParsedQuery::Parse(text));
   if (role_ == Role::kLeaf) {
     assert(!parents_.empty() && "leaf must be attached to an ultrapeer");
+    size_t bytes = QueryWireBytes(*query);
     network_->Send(host_, parents_.front(),
                    sim::Message::Make<LeafQueryBody>(
-                       kMsgLeafQuery, "gnutella.query", 25 + text.size(),
-                       LeafQueryBody{guid, text}));
+                       kMsgLeafQuery, "gnutella.query", bytes,
+                       LeafQueryBody{guid, std::move(query)}));
   } else {
-    ExecuteQueryAsRoot(guid, text);
+    ExecuteQueryAsRoot(guid, query);
   }
   return guid;
 }
@@ -127,28 +129,28 @@ bool GnutellaNode::QueryActive(Guid guid) const {
   return dq_states_.count(guid) > 0;
 }
 
-void GnutellaNode::ExecuteQueryAsRoot(Guid guid, const std::string& text) {
+void GnutellaNode::ExecuteQueryAsRoot(Guid guid, const QueryRef& query) {
   assert(role_ == Role::kUltrapeer);
   guids_.Remember(guid, sim::kInvalidHost);  // never re-process our own flood
-  MatchLocally(guid, text, sim::kInvalidHost);
+  MatchLocally(guid, query, sim::kInvalidHost);
 
   if (config_->query_mode == QueryMode::kFlood) {
-    FloodQuery(QueryBody{guid, config_->flood_ttl, 0, text},
+    FloodQuery(QueryBody{guid, config_->flood_ttl, 0, query},
                sim::kInvalidHost);
     return;
   }
-  BeginDynamicQuery(guid, text);
+  BeginDynamicQuery(guid, query);
 }
 
-void GnutellaNode::BeginDynamicQuery(Guid guid, const std::string& text) {
+void GnutellaNode::BeginDynamicQuery(Guid guid, const QueryRef& query) {
   // Dynamic querying: probe a few neighbors at TTL 1, then widen.
   DqState state;
-  state.text = text;
+  state.query = query;
   state.pending_neighbors = up_neighbors_;
   rng_.Shuffle(&state.pending_neighbors);
   size_t probes = std::min(kProbeNeighbors, state.pending_neighbors.size());
   for (size_t i = 0; i < probes; ++i) {
-    SendQueryTo(state.pending_neighbors.back(), guid, text, kProbeTtl);
+    SendQueryTo(state.pending_neighbors.back(), guid, query, kProbeTtl);
     state.pending_neighbors.pop_back();
   }
   state.tick = network_->executor()->ScheduleAfter(host_, 
@@ -175,7 +177,7 @@ void GnutellaNode::DynamicTick(Guid guid) {
   } else {
     ttl = 1;
   }
-  SendQueryTo(state.pending_neighbors.back(), guid, state.text, ttl);
+  SendQueryTo(state.pending_neighbors.back(), guid, state.query, ttl);
   state.pending_neighbors.pop_back();
   state.tick = network_->executor()->ScheduleAfter(host_, 
       config_->dynamic.per_neighbor_wait,
@@ -188,7 +190,7 @@ void GnutellaNode::FloodQuery(QueryBody q, sim::HostId exclude) {
     return;
   }
   // One immutable body, shared by every neighbor's copy of the message.
-  size_t bytes = QueryWireBytes(q);
+  size_t bytes = QueryWireBytes(*q.query);
   sim::Message msg = sim::Message::Make<QueryBody>(
       kMsgQuery, "gnutella.query", bytes, std::move(q));
   for (sim::HostId n : up_neighbors_) {
@@ -199,12 +201,12 @@ void GnutellaNode::FloodQuery(QueryBody q, sim::HostId exclude) {
 }
 
 void GnutellaNode::SendQueryTo(sim::HostId neighbor, Guid guid,
-                               const std::string& text, uint8_t ttl) {
-  QueryBody q{guid, ttl, 0, text};
+                               const QueryRef& query, uint8_t ttl) {
   ++metrics_->query_messages;
   network_->Send(host_, neighbor,
                  sim::Message::Make<QueryBody>(kMsgQuery, "gnutella.query",
-                                               QueryWireBytes(q), q));
+                                               QueryWireBytes(*query),
+                                               QueryBody{guid, ttl, 0, query}));
 }
 
 size_t GnutellaNode::HitWireBytes(const QueryHitBody& h) {
@@ -213,34 +215,26 @@ size_t GnutellaNode::HitWireBytes(const QueryHitBody& h) {
   return bytes;
 }
 
-void GnutellaNode::MatchLocally(Guid guid, const std::string& text,
+void GnutellaNode::MatchLocally(Guid guid, const QueryRef& query,
                                 sim::HostId reply_to) {
   // QRP: forward the query to leaves whose keyword Bloom filter matches
   // every term; they answer for themselves and the hit rides the normal
   // reverse path through us.
-  if (!leaf_blooms_.empty()) {
-    std::vector<std::string> terms;
-    const auto& stop = DefaultStopWords();
-    for (auto& t : SplitTerms(text)) {
-      if (t.size() < 2 || stop.count(t)) continue;
-      terms.push_back(std::move(t));
-    }
-    if (!terms.empty()) {
-      const sim::HostId* origin = guids_.Find(guid);
-      sim::HostId origin_host = origin ? *origin : sim::kInvalidHost;
-      for (const auto& [leaf, bloom] : leaf_blooms_) {
-        if (leaf == origin_host) continue;  // don't echo to the asker
-        if (!bloom.MayContainAll(terms)) continue;
-        ++metrics_->qrp_leaf_forwards;
-        network_->Send(host_, leaf,
-                       sim::Message::Make<LeafForwardBody>(
-                           kMsgLeafForwardQuery, "gnutella.query",
-                           25 + text.size(), LeafForwardBody{guid, text}));
-      }
+  if (!leaf_blooms_.empty() && !query->terms.empty()) {
+    const sim::HostId* origin = guids_.Find(guid);
+    sim::HostId origin_host = origin ? *origin : sim::kInvalidHost;
+    for (const auto& [leaf, bloom] : leaf_blooms_) {
+      if (leaf == origin_host) continue;  // don't echo to the asker
+      if (!bloom.MayContainAll(query->terms)) continue;
+      ++metrics_->qrp_leaf_forwards;
+      network_->Send(host_, leaf,
+                     sim::Message::Make<LeafForwardBody>(
+                         kMsgLeafForwardQuery, "gnutella.query",
+                         QueryWireBytes(*query), LeafForwardBody{guid, query}));
     }
   }
 
-  auto matches = index_.MatchText(text);
+  auto matches = index_.Match(*query);
   if (matches.empty()) return;
   QueryHitBody hit;
   hit.guid = guid;
@@ -327,10 +321,10 @@ void GnutellaNode::HandleMessage(sim::HostId from, const sim::Message& msg) {
         return;
       }
       guids_.Remember(q.guid, from);
-      MatchLocally(q.guid, q.text, from);
+      MatchLocally(q.guid, q.query, from);
       if (q.ttl > 1) {
         FloodQuery(QueryBody{q.guid, static_cast<uint8_t>(q.ttl - 1),
-                             static_cast<uint8_t>(q.hops + 1), q.text},
+                             static_cast<uint8_t>(q.hops + 1), q.query},
                    from);
       } else {
         ++metrics_->ttl_expired;
@@ -347,12 +341,12 @@ void GnutellaNode::HandleMessage(sim::HostId from, const sim::Message& msg) {
       const auto& q = msg.as<LeafQueryBody>();
       if (guids_.Find(q.guid) != nullptr) return;
       guids_.Remember(q.guid, from);  // hits route back to the leaf
-      MatchLocally(q.guid, q.text, sim::kInvalidHost);
+      MatchLocally(q.guid, q.query, sim::kInvalidHost);
       if (config_->query_mode == QueryMode::kFlood) {
-        FloodQuery(QueryBody{q.guid, config_->flood_ttl, 0, q.text},
+        FloodQuery(QueryBody{q.guid, config_->flood_ttl, 0, q.query},
                    sim::kInvalidHost);
       } else {
-        BeginDynamicQuery(q.guid, q.text);
+        BeginDynamicQuery(q.guid, q.query);
       }
       return;
     }
@@ -380,7 +374,7 @@ void GnutellaNode::HandleMessage(sim::HostId from, const sim::Message& msg) {
       // Our ultrapeer forwarded a query our Bloom filter matched: answer
       // from the local library; an empty match is a Bloom false positive.
       const auto& fwd = msg.as<LeafForwardBody>();
-      auto matches = index_.MatchText(fwd.text);
+      auto matches = index_.Match(*fwd.query);
       if (matches.empty()) {
         ++metrics_->qrp_false_positives;
         return;

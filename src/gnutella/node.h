@@ -13,9 +13,16 @@
 // Per-hop state is flat: duplicate suppression and the reverse path share
 // one GuidTable (open addressing, load <= 1/2, one probe per lookup) whose
 // eviction is FIFO in remember order past its 65536-GUID capacity, exactly
-// as a deque of remembered GUIDs would evict; the local match probes each
-// query term once in the KeywordIndex term table; and a flood hop builds
-// one message whose immutable body every neighbor's copy shares.
+// as a deque of remembered GUIDs would evict; the local match probes the
+// KeywordIndex term table with each query term's parsed hash; and a flood
+// hop builds one message whose immutable body every neighbor's copy shares.
+//
+// A query is parsed once, by StartQuery: every query body (leaf query,
+// flood hop, QRP leaf forward) and the dynamic-query state carry a pointer
+// to that one ParsedQuery, so no hop splits, lower-cases, copies or hashes
+// query text. The wire charge is still the text (25 bytes of header and
+// minimum speed plus the text's length): the parsed form is what every
+// receiver would compute from the text, not something sent.
 #pragma once
 
 #include <functional>
@@ -112,11 +119,13 @@ class GnutellaNode : public sim::Host {
   void HandleMessage(sim::HostId from, const sim::Message& msg) override;
 
  private:
+  using QueryRef = std::shared_ptr<const ParsedQuery>;
+
   struct QueryBody {
     Guid guid;
     uint8_t ttl;
     uint8_t hops;
-    std::string text;
+    QueryRef query;
   };
   struct QueryHitBody {
     Guid guid;
@@ -124,7 +133,7 @@ class GnutellaNode : public sim::Host {
   };
   struct LeafQueryBody {
     Guid guid;
-    std::string text;
+    QueryRef query;
   };
   struct LeafPublishBody {
     std::vector<SharedFile> files;
@@ -135,7 +144,7 @@ class GnutellaNode : public sim::Host {
   };
   struct LeafForwardBody {
     Guid guid;
-    std::string text;
+    QueryRef query;
   };
   struct BrowseReqBody {
     uint64_t req_id;
@@ -152,23 +161,24 @@ class GnutellaNode : public sim::Host {
 
   /// Dynamic-query controller state (lives at the query-root ultrapeer).
   struct DqState {
-    std::string text;
+    QueryRef query;
     size_t results = 0;
     std::vector<sim::HostId> pending_neighbors;  // not yet queried
     sim::EventId tick = sim::kInvalidEventId;
   };
 
-  static size_t QueryWireBytes(const QueryBody& q) {
-    return 23 + 2 + q.text.size();  // Gnutella header + min speed + text
+  /// Every query message's wire charge: Gnutella header + min speed + text.
+  static size_t QueryWireBytes(const ParsedQuery& q) {
+    return 23 + 2 + q.text.size();
   }
   static size_t HitWireBytes(const QueryHitBody& h);
 
-  void ExecuteQueryAsRoot(Guid guid, const std::string& text);
-  void BeginDynamicQuery(Guid guid, const std::string& text);
+  void ExecuteQueryAsRoot(Guid guid, const QueryRef& query);
+  void BeginDynamicQuery(Guid guid, const QueryRef& query);
   void FloodQuery(QueryBody q, sim::HostId exclude);
-  void SendQueryTo(sim::HostId neighbor, Guid guid, const std::string& text,
+  void SendQueryTo(sim::HostId neighbor, Guid guid, const QueryRef& query,
                    uint8_t ttl);
-  void MatchLocally(Guid guid, const std::string& text, sim::HostId reply_to);
+  void MatchLocally(Guid guid, const QueryRef& query, sim::HostId reply_to);
   void DeliverOrForwardHit(Guid guid, std::vector<QueryResult> results);
   void DynamicTick(Guid guid);
 

@@ -639,10 +639,8 @@ bool PierNode::AdmitStage0(const JoinStageMsg& m) {
   }
   const ExecStage& stage = m.query->stages[0];
   size_t posting =
-      dht_->store()
-          .Get(stage.ns, DhtKeyFor(stage.ns, stage.key),
-               dht_->network()->executor()->now())
-          .size();
+      dht_->store().Count(stage.ns, DhtKeyFor(stage.ns, stage.key),
+                          dht_->network()->executor()->now());
   uint32_t level = std::min<uint32_t>(
       static_cast<uint32_t>(load.in_flight_messages -
                             batch_options_.admission_inflight_floor),

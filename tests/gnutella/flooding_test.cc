@@ -62,7 +62,7 @@ TEST(FloodingTest, LeafFilesIndexedAtParents) {
   for (sim::HostId up_host : leaf->parent_ultrapeers()) {
     auto* up = net.gnutella->by_host(up_host);
     ASSERT_NE(up, nullptr);
-    auto m = up->index().MatchText("zanzibar");
+    auto m = up->index().Match(ParsedQuery::Parse("zanzibar"));
     ASSERT_EQ(m.size(), 1u);
     EXPECT_EQ(m[0]->owner, leaf->host());
   }
@@ -187,6 +187,48 @@ TEST(FloodingTest, BrowseHostToDeadHostFails) {
       });
   net.simulator.Run();
   EXPECT_TRUE(failed);
+}
+
+TEST(FloodingTest, QueryWireChargeIsTheText) {
+  // However a query body is represented in memory, each query message on
+  // the wire (leaf query, flood or dynamic hop, QRP leaf forward) is
+  // charged the Gnutella header and minimum speed plus the query text as
+  // typed, separators, case and stop words included.
+  const std::string text = "Gorgonzola - the SUNSET_boulevard";
+  struct Mode {
+    QueryMode query;
+    LeafPublishMode publish;
+  };
+  for (Mode mode : {Mode{QueryMode::kFlood, LeafPublishMode::kFullList},
+                    Mode{QueryMode::kDynamic, LeafPublishMode::kFullList},
+                    Mode{QueryMode::kFlood, LeafPublishMode::kBloomFilter}}) {
+    auto cfg = SmallConfig();
+    cfg.protocol.flood_ttl = 3;
+    cfg.protocol.query_mode = mode.query;
+    cfg.protocol.leaf_publish = mode.publish;
+    Net net(cfg);
+    auto* sharer = net.gnutella->leaf(3);
+    sharer->SetSharedFiles({"gorgonzola sunset boulevard.mp3"});
+    for (sim::HostId up : sharer->parent_ultrapeers()) sharer->RepublishTo(up);
+    net.simulator.Run();
+    size_t results = 0;
+    net.gnutella->leaf(50)->StartQuery(
+        text, [&](const std::vector<QueryResult>& rs) {
+          results += rs.size();
+        });
+    net.simulator.Run();
+    EXPECT_EQ(results, 1u);
+    const auto& metrics = net.gnutella->metrics();
+    if (mode.publish == LeafPublishMode::kBloomFilter) {
+      EXPECT_GT(metrics.qrp_leaf_forwards, 0u);
+    }
+    // The leaf's query to its ultrapeer, the hops and the leaf forwards.
+    const sim::TrafficCounter& wire =
+        net.network->metrics().by_tag.at("gnutella.query");
+    EXPECT_EQ(wire.messages,
+              1 + metrics.query_messages + metrics.qrp_leaf_forwards);
+    EXPECT_EQ(wire.bytes, wire.messages * (25 + text.size()));
+  }
 }
 
 TEST(FloodingTest, MetricsCountQueriesAndResults) {

@@ -18,11 +18,47 @@ SharedFile File(const std::string& name, uint64_t size = 1000) {
   return f;
 }
 
+std::vector<const KeywordIndex::Entry*> Match(const KeywordIndex& idx,
+                                              const std::string& text) {
+  return idx.Match(ParsedQuery::Parse(text));
+}
+
+TEST(ParsedQueryTest, KeepsTextAndIndexableTermsWithTheirHashes) {
+  auto q = ParsedQuery::Parse("Madonna - Like_a.PRAYER (Live) the mp3 x 7");
+  EXPECT_EQ(q.text, "Madonna - Like_a.PRAYER (Live) the mp3 x 7");
+  // Lower-cased, split on every non-alphanumeric character; "a", "x" and
+  // "7" are one character long, "the" and "mp3" stop words.
+  EXPECT_EQ(q.terms,
+            (std::vector<std::string>{"madonna", "like", "prayer", "live"}));
+  ASSERT_EQ(q.hashes.size(), q.terms.size());
+  for (size_t i = 0; i < q.terms.size(); ++i) {
+    EXPECT_EQ(q.hashes[i], TermHash(q.terms[i])) << q.terms[i];
+  }
+}
+
+TEST(ParsedQueryTest, DuplicatesKeepFirstOccurrence) {
+  auto q = ParsedQuery::Parse("Rock ROLL rock roll__ROCK 42 42");
+  EXPECT_EQ(q.terms, (std::vector<std::string>{"rock", "roll", "42"}));
+  ASSERT_EQ(q.hashes.size(), 3u);
+  EXPECT_EQ(q.hashes[0], TermHash("rock"));
+  EXPECT_EQ(q.hashes[1], TermHash("roll"));
+  EXPECT_EQ(q.hashes[2], TermHash("42"));
+}
+
+TEST(ParsedQueryTest, EmptyAndStopWordOnlyTextsHaveNoTerms) {
+  for (std::string text : {"", "--- ...!!!", "The MP3 of a", "a b c 1"}) {
+    auto q = ParsedQuery::Parse(text);
+    EXPECT_EQ(q.text, text);
+    EXPECT_TRUE(q.terms.empty()) << "'" << text << "'";
+    EXPECT_TRUE(q.hashes.empty()) << "'" << text << "'";
+  }
+}
+
 TEST(KeywordIndexTest, SingleTermMatch) {
   KeywordIndex idx;
   idx.Add(File("madonna like a prayer.mp3"), 1);
   idx.Add(File("beatles help.mp3"), 2);
-  auto m = idx.MatchText("madonna");
+  auto m = Match(idx, "madonna");
   ASSERT_EQ(m.size(), 1u);
   EXPECT_EQ(m[0]->owner, 1u);
 }
@@ -31,31 +67,31 @@ TEST(KeywordIndexTest, ConjunctiveMatchRequiresAllTerms) {
   KeywordIndex idx;
   idx.Add(File("madonna like a prayer.mp3"), 1);
   idx.Add(File("madonna vogue.mp3"), 2);
-  EXPECT_EQ(idx.MatchText("madonna prayer").size(), 1u);
-  EXPECT_EQ(idx.MatchText("madonna").size(), 2u);
-  EXPECT_TRUE(idx.MatchText("madonna help").empty());
+  EXPECT_EQ(Match(idx, "madonna prayer").size(), 1u);
+  EXPECT_EQ(Match(idx, "madonna").size(), 2u);
+  EXPECT_TRUE(Match(idx, "madonna help").empty());
 }
 
 TEST(KeywordIndexTest, StopWordsIgnoredInQueries) {
   KeywordIndex idx;
   idx.Add(File("the matrix.avi"), 1);
   // "the" and "avi" are stop words on both sides.
-  EXPECT_EQ(idx.MatchText("the matrix").size(), 1u);
-  EXPECT_EQ(idx.MatchText("matrix avi").size(), 1u);
+  EXPECT_EQ(Match(idx, "the matrix").size(), 1u);
+  EXPECT_EQ(Match(idx, "matrix avi").size(), 1u);
 }
 
 TEST(KeywordIndexTest, AllStopWordQueryMatchesNothing) {
   KeywordIndex idx;
   idx.Add(File("the matrix.avi"), 1);
-  EXPECT_TRUE(idx.MatchText("the mp3").empty());
-  EXPECT_TRUE(idx.MatchText("").empty());
+  EXPECT_TRUE(Match(idx, "the mp3").empty());
+  EXPECT_TRUE(Match(idx, "").empty());
 }
 
 TEST(KeywordIndexTest, MultipleOwnersSameFilename) {
   KeywordIndex idx;
   idx.Add(File("dark side of the moon.mp3"), 1);
   idx.Add(File("dark side of the moon.mp3"), 2);
-  EXPECT_EQ(idx.MatchText("moon dark").size(), 2u);
+  EXPECT_EQ(Match(idx, "moon dark").size(), 2u);
 }
 
 TEST(KeywordIndexTest, RemoveOwnerHidesEntries) {
@@ -65,7 +101,7 @@ TEST(KeywordIndexTest, RemoveOwnerHidesEntries) {
   EXPECT_EQ(idx.num_entries(), 2u);
   idx.RemoveOwner(1);
   EXPECT_EQ(idx.num_entries(), 1u);
-  auto m = idx.MatchText("abba");
+  auto m = Match(idx, "abba");
   ASSERT_EQ(m.size(), 1u);
   EXPECT_EQ(m[0]->owner, 2u);
 }
@@ -93,7 +129,9 @@ TEST(KeywordIndexTest, MatchAgreesWithSubstringRuleOnTokenQueries) {
       {"silver"}, {"silver", "hammer"}, {"hammer", "club"}, {"moon"},
       {"silver", "hammer", "midnight"}};
   for (const auto& q : queries) {
-    auto matched = idx.Match(q);
+    std::string text;
+    for (const auto& t : q) text += t + " ";
+    auto matched = Match(idx, text);
     size_t expected = 0;
     for (const auto& n : names) {
       if (FilenameMatchesQuery(n, q)) ++expected;
@@ -110,10 +148,10 @@ TEST(KeywordIndexTest, AllEntriesListsLiveOnly) {
   EXPECT_EQ(idx.AllEntries().size(), 1u);
 }
 
-// Differential check against a brute-force model of every Add: Match
-// returns exactly the live entries whose keywords hold every indexable
-// query term, in entry order, and PostingListSize counts every entry ever
-// added under the term (tombstoned ones too).
+// Differential check against a brute-force model of every Add: Match of a
+// parsed query returns exactly the live entries whose keywords hold every
+// indexable query term, in entry order, and PostingListSize counts every
+// entry ever added under the term (tombstoned ones too).
 TEST(KeywordIndexTest, RandomizedMatchesBruteForce) {
   Rng rng(17);
   // ~200 tokens: lower-case and mixed-case words, stop words and
@@ -227,16 +265,23 @@ TEST(KeywordIndexTest, RandomizedMatchesBruteForce) {
       }
     }
     if (q % 2 == 0) {
-      // Mixed-case text through the tokenizer.
+      // Mixed-case text with mixed separators, modelled through the
+      // tokenizer.
       std::string text;
       for (const auto& t : terms) text += t + seps[rng.NextBelow(5)];
       auto want = expected(SplitTerms(text));
-      ASSERT_EQ(ids_of(idx.MatchText(text)), want) << "query '" << text << "'";
+      ASSERT_EQ(ids_of(Match(idx, text)), want) << "query '" << text << "'";
       matched += want.size();
     } else {
-      for (auto& t : terms) t = ToLowerAscii(t);
+      // Lower-case terms joined by spaces, modelled on the terms
+      // themselves.
+      std::string text;
+      for (auto& t : terms) {
+        t = ToLowerAscii(t);
+        text += t + " ";
+      }
       auto want = expected(terms);
-      ASSERT_EQ(ids_of(idx.Match(terms)), want) << "query #" << q;
+      ASSERT_EQ(ids_of(Match(idx, text)), want) << "query #" << q;
       matched += want.size();
     }
   }

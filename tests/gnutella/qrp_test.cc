@@ -44,7 +44,8 @@ TEST(QrpTest, BloomModeDoesNotIndexLeafFilesAtUltrapeer) {
   net.ShareAndPublish(leaf, {"qrp hidden catalog.mp3"});
   for (sim::HostId up_host : leaf->parent_ultrapeers()) {
     auto* up = net.gnutella->by_host(up_host);
-    EXPECT_TRUE(up->index().MatchText("hidden catalog").empty());
+    EXPECT_TRUE(
+        up->index().Match(ParsedQuery::Parse("hidden catalog")).empty());
   }
 }
 
