@@ -2,14 +2,13 @@
 """Samples where one perfbench workload spends its CPU time, by phase.
 
     python3 scripts/profile_perfbench.py --workload hybrid_flood \\
-        [--seed 1] [--seconds 60] [--phase query|publish|all] \\
-        [--folded PATH]
+        [--seconds 60] [--phase query|publish|all] [--folded PATH]
 
 Builds perfbench/ into .profile_build/ (Release plus -g
 -fno-omit-frame-pointer) and scripts/sigprof_sampler.c into a shared
-library beside it, then runs the perfbench driver once (--trace 0 for
---seconds; the driver still does its minimum three reps) with the sampler
-preloaded. The sampler records one stack per SIGPROF of
+library beside it, then runs the perfbench driver once (seed 1, --trace 0
+for --seconds; the driver still does its minimum three reps) with the
+sampler preloaded. The sampler records one stack per SIGPROF of
 setitimer(ITIMER_PROF), that is per slice of the process's CPU time. It
 asks for 1000 a second, but the kernel tick caps ITIMER_PROF: on the 4-CPU
 host this was written on (a 250 Hz tick) that is about 250 samples/s, so
@@ -56,6 +55,7 @@ SAMPLER_SRC = os.path.join(REPO, "scripts", "sigprof_sampler.c")
 # Workloads that share another workload's driver source.
 SOURCE_OF = {"dht_churn_sharded": "dht_churn"}
 TOP = 30
+SEED = 1
 
 
 def log(msg):
@@ -196,7 +196,6 @@ def short_name(name):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=60)
     ap.add_argument("--phase", choices=("publish", "query", "all"),
                     default="query")
@@ -210,7 +209,7 @@ def main():
     env = dict(os.environ, LD_PRELOAD=sampler, SIGPROF_OUT=out)
     cpu_before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
-        [driver, "--workload", args.workload, "--seed", str(args.seed),
+        [driver, "--workload", args.workload, "--seed", str(SEED),
          "--seconds", str(args.seconds), "--trace", "0"],
         cwd=REPO, env=env, stdout=subprocess.DEVNULL)
     cpu_after = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -270,7 +269,7 @@ def main():
     rate = len(samples) / cpu_s if cpu_s > 0 else 0.0
     print("%s seed %d, phase %s: %d of %d samples (%d dropped), "
           "%.1f s of CPU, %.0f samples/s" % (
-              args.workload, args.seed, args.phase, in_phase, len(samples),
+              args.workload, SEED, args.phase, in_phase, len(samples),
               dropped, cpu_s, rate))
     if in_phase == 0:
         log("profile: no samples in phase %s" % args.phase)

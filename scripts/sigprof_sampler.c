@@ -32,6 +32,10 @@
 #include <sys/time.h>
 #include <ucontext.h>
 
+#if !defined(__x86_64__)
+#error "sigprof_sampler reads the interrupted pc from x86_64's REG_RIP only"
+#endif
+
 #define kDepth 64
 #define kCapacity (1L << 17)
 #define kIntervalUs 1000
@@ -42,15 +46,7 @@ static long next_slot; /* claimed with an atomic add */
 static FILE* out;
 
 static uintptr_t InterruptedPc(void* uc) {
-  ucontext_t* ctx = (ucontext_t*)uc;
-#if defined(__x86_64__)
-  return (uintptr_t)ctx->uc_mcontext.gregs[REG_RIP];
-#elif defined(__aarch64__)
-  return (uintptr_t)ctx->uc_mcontext.pc;
-#else
-  (void)ctx;
-  return 0;
-#endif
+  return (uintptr_t)((ucontext_t*)uc)->uc_mcontext.gregs[REG_RIP];
 }
 
 static void OnSigprof(int sig, siginfo_t* info, void* uc) {

